@@ -28,6 +28,7 @@ from .sets import (
     VPolytope,
     Zonotope,
     _as_vector,
+    _axis_extents,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -92,13 +93,7 @@ def custom_template(directions) -> DirectionTemplate:
 def generate_directions(t: DirectionTemplate) -> list[np.ndarray]:
     """Materialize the template's ordered direction list."""
     if t.kind == "box":
-        out = []
-        for i in range(t.dim):
-            e = np.zeros(t.dim)
-            e[i] = 1.0
-            out.append(e.copy())
-            out.append(-e)
-        return out
+        return [sign * e for e in np.eye(t.dim) for sign in (1.0, -1.0)]
     if t.kind == "oct":
         s = 1.0 / _SQRT2
         return [
@@ -147,12 +142,11 @@ def overapproximate_template(X: ConvexSet, t: DirectionTemplate, ctx: ToleranceC
     rather than silently mistyped as a polytope.
     """
     ctx = resolve_tolerance(ctx)
-    constraints = []
-    for d in generate_directions(t):
-        value = X.support_function(d, ctx)
-        if value == math.inf:
-            raise UnboundedSetError("support of the input set is unbounded along a template direction")
-        constraints.append(HalfSpace(d, value))
+    D = np.array(generate_directions(t))
+    values, _ = X.support_batch(D, ctx)
+    if np.any(values == math.inf):
+        raise UnboundedSetError("support of the input set is unbounded along a template direction")
+    constraints = [HalfSpace(d, value) for d, value in zip(D, values)]
     region = HPolyhedron(constraints)
     if t.kind in ("box", "oct") or (t.kind == "polar" and t.count >= 3):
         return HPolytope(constraints)
@@ -162,35 +156,15 @@ def overapproximate_template(X: ConvexSet, t: DirectionTemplate, ctx: ToleranceC
 
 
 def box_approximation(X: ConvexSet, ctx: ToleranceContext | None = None) -> Hyperrectangle:
-    """Tightest axis-aligned bounding box, from 2n support queries."""
-    ctx = resolve_tolerance(ctx)
-    n = X.dim
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        hi[i] = X.support_function(e, ctx)
-        lo[i] = -X.support_function(-e, ctx)
-        if not (math.isfinite(hi[i]) and math.isfinite(lo[i])):
-            raise UnboundedSetError("cannot box an unbounded set")
+    """Tightest axis-aligned bounding box, from one batched query on ``[I; -I]``."""
+    hi, lo = _axis_extents(X, resolve_tolerance(ctx), "box")
     return Hyperrectangle((lo + hi) / 2.0, (hi - lo) / 2.0)
 
 
 def symmetric_interval_hull(X: ConvexSet, ctx: ToleranceContext | None = None) -> Hyperrectangle:
     """Smallest origin-symmetric box containing X."""
-    ctx = resolve_tolerance(ctx)
-    n = X.dim
-    radius = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        up = X.support_function(e, ctx)
-        down = X.support_function(-e, ctx)
-        if not (math.isfinite(up) and math.isfinite(down)):
-            raise UnboundedSetError("cannot hull an unbounded set")
-        radius[i] = max(abs(up), abs(down))
-    return Hyperrectangle(np.zeros(n), radius)
+    hi, lo = _axis_extents(X, resolve_tolerance(ctx), "hull")
+    return Hyperrectangle(np.zeros(X.dim), np.maximum(np.abs(hi), np.abs(lo)))
 
 
 def _line_intersection(d1, r1, d2, r2) -> np.ndarray:
@@ -225,36 +199,37 @@ def overapproximate_eps_2d(X: ConvexSet, eps: float, ctx: ToleranceContext | Non
     if X.dim != 2:
         raise UnsupportedOperationError("eps-close approximation is only implemented in 2-D")
 
-    def probe(angle: float):
-        d = np.array([math.cos(angle), math.sin(angle)])
-        value = X.support_function(d, ctx)
-        if value == math.inf:
+    def probe(angles):
+        D = np.array([(math.cos(a), math.sin(a)) for a in angles])
+        values, vectors = X.support_batch(D, ctx, vectors=True)
+        if not np.all(np.isfinite(values)):
             raise UnboundedSetError("cannot approximate an unbounded set")
-        return (angle, d, value, X.support_vector(d, ctx))
+        return list(zip(angles, D, values, vectors))
 
-    entries = [probe(a) for a in (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)]
+    entries = probe([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
     refinements = 0
-    # Work items are adjacent direction pairs (in angle); a split probes the
-    # bisecting angle and pushes both halves.
+    # Work items are adjacent direction pairs (in angle), refined breadth first
+    # so that all bisections of a round share one batched query; a split
+    # depends only on the pair's endpoints, so the order does not matter.
     work = [(entries[i], entries[(i + 1) % 4]) for i in range(4)]
-    done = []
+    vertices = []
     while work:
-        first, second = work.pop()
-        gap = (second[0] - first[0]) % (2.0 * math.pi)
-        q = _line_intersection(first[1], first[2], second[1], second[2])
-        error = _point_segment_distance(q, first[3], second[3])
-        if error <= eps or gap <= 1e-12:
-            done.append((first, second, q))
-            continue
-        refinements += 1
+        split = []
+        for first, second in work:
+            gap = (second[0] - first[0]) % (2.0 * math.pi)
+            q = _line_intersection(first[1], first[2], second[1], second[2])
+            error = _point_segment_distance(q, first[3], second[3])
+            if error <= eps or gap <= 1e-12:
+                vertices.append(q)
+            else:
+                split.append((first, second, (first[0] + gap / 2.0) % (2.0 * math.pi)))
+        refinements += len(split)
         if refinements > _REFINEMENT_CAP:
             raise UnsupportedOperationError(
                 f"eps-close refinement exceeded {_REFINEMENT_CAP} bisections"
             )
-        middle = probe((first[0] + gap / 2.0) % (2.0 * math.pi))
-        work.append((first, middle))
-        work.append((middle, second))
-    vertices = [q for _, _, q in done]
+        middles = probe([angle for _, _, angle in split]) if split else []
+        work = [pair for (a, b, _), m in zip(split, middles) for pair in ((a, m), (m, b))]
     return VPolygon(vertices)
 
 
@@ -333,7 +308,7 @@ def underapproximate(X: ConvexSet, directions, ctx: ToleranceContext | None = No
     directions = [_as_vector(d, X.dim, "direction") for d in directions]
     if not directions:
         raise ValueError("need at least one direction")
-    points = [X.support_vector(d, ctx) for d in directions]
+    _, points = X.support_batch(np.array(directions), ctx, vectors=True)
     if X.dim == 2:
         return VPolygon(points)
     return VPolytope(points)

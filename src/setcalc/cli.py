@@ -306,12 +306,10 @@ def _parse_template(label: str, dim: int):
 
 def cmd_support(args) -> int:
     tree = _load_doc(args.doc)
-    d = _parse_dir(args.dir)
-    value = lazyops.lazy_support_function(d, tree)
-    print(_fmt(value))
+    values, vectors = tree.support_batch(_parse_dir(args.dir)[None], vectors=args.vector)
+    print(_fmt(values[0]))
     if args.vector:
-        sigma = lazyops.lazy_support_vector(d, tree)
-        print(",".join(_fmt(v) for v in sigma))
+        print(",".join(_fmt(v) for v in vectors[0]))
     return EXIT_OK
 
 

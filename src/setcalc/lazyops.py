@@ -1,8 +1,8 @@
 """Lazy set operations as immutable expression-tree nodes.
 
 A :class:`LazyNode` records an operation applied to child sets (lazy or
-concrete) without computing anything.  Queries are answered by recursive
-propagation:
+concrete) without computing anything.  Support queries take a direction
+matrix and propagate it down the tree in one iterative, memoized pass:
 
     rho(d, X + Y)        = rho(d, X) + rho(d, Y)
     rho((d1, d2), X x Z) = rho(d1, X) + rho(d2, Z)
@@ -18,7 +18,7 @@ overapproximate mode returns the upper bound ``min(rho(d, X), rho(d, Y))``.
 
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
@@ -29,14 +29,15 @@ from .sets import (
     ConcreteSet,
     ConvexSet,
     HPolyhedron,
-    Hyperrectangle,
     VPolygon,
     Zonotope,
     _as_direction,
     _as_vector,
+    _axis_directions,
     _sign_plus,
 )
 from . import concrete_ops
+from .approximation import symmetric_interval_hull
 from .conversion import tohrep
 from .sets import _hrep_vertices_2d
 
@@ -93,24 +94,36 @@ class LazyNode(ConvexSet):
 
     __hash__ = None
 
-    def support_function(self, d, ctx: ToleranceContext | None = None) -> float:
-        return lazy_support_function(d, self, ctx=ctx)
-
-    def support_vector(self, d, ctx: ToleranceContext | None = None) -> np.ndarray:
-        return lazy_support_vector(d, self, ctx=ctx)
+    def _support_batch(self, D, ctx, vectors):
+        return _evaluate(self, D, resolve_tolerance(ctx), "exact", vectors)
 
     def contains(self, x, ctx: ToleranceContext | None = None) -> bool:
         return lazy_membership(x, self, ctx)
 
     def depth(self) -> int:
-        child = max((op.depth() if isinstance(op, LazyNode) else 1) for op in self.operands)
-        return 1 + child
+        return _fold(self, lambda leaf: 1, lambda node, depths: 1 + max(depths))
 
     def num_leaves(self) -> int:
-        total = 0
-        for op in self.operands:
-            total += op.num_leaves() if isinstance(op, LazyNode) else 1
-        return total
+        """Leaf count of the tree: a leaf reached along several paths counts once per path."""
+        return _fold(self, lambda leaf: 1, lambda node, counts: sum(counts))
+
+
+def _fold(root, leaf, combine):
+    """Value of ``root`` from its leaves up, without recursion: ``leaf(X)``
+    values a concrete set, ``combine(node, values)`` a lazy node from its
+    operands' values.  Shared nodes are expanded once (linear on DAGs)."""
+    values = {}
+    stack = [root]
+    while stack:
+        X = stack.pop()
+        if type(X) is not LazyNode:
+            values[id(X)] = leaf(X)
+        elif all(id(op) in values for op in X.operands):
+            values[id(X)] = combine(X, [values[id(op)] for op in X.operands])
+        else:
+            stack.append(X)
+            stack.extend(op for op in X.operands if id(op) not in values)
+    return values[id(root)]
 
 
 def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:
@@ -173,103 +186,138 @@ def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:
     return LazyNode(kind, operands, matrix, vector, _dim=node_dim)
 
 
-def _support_pair(d, X, ctx, mode, want_vector):
-    """Shared recursion for support function and vector.
+def _same(X, D, want):
+    return (D,) * len(X.operands), want
 
-    Returns ``(value, vector_or_None)``; the vector is only materialized
-    when requested, but both are produced by the same composition rules so
-    they are always consistent.
-    """
-    if isinstance(X, ConcreteSet):
-        value = X.support_function(d, ctx)
-        vec = X.support_vector(d, ctx) if want_vector else None
-        return value, vec
 
-    kind = X.kind
-    if kind == "Complement":
-        raise UnsupportedOperationError("support queries over a complement are not defined")
+def _mapped(X, D, want):
+    # LinearMap, AffineMap and Translation: rho(d, M Y + b) = rho(M^T d, Y) + d . b
+    return (D if X.matrix is None else D.dot(X.matrix),), want
 
-    if kind in ("MinkowskiSum", "MinkowskiSumArray"):
-        total = 0.0
-        vec = np.zeros(X.dim) if want_vector else None
-        for op in X.operands:
-            value, sigma = _support_pair(d, op, ctx, mode, want_vector)
-            total = total + value
-            if want_vector:
-                vec = vec + sigma
-        return total, vec
 
-    if kind in ("ConvexHullUnion", "Union"):
-        best = -math.inf
-        best_op = None
-        for op in X.operands:
-            value, _ = _support_pair(d, op, ctx, mode, False)
-            if value > best:
-                best, best_op = value, op
-        if not want_vector:
-            return best, None
-        _, sigma = _support_pair(d, best_op, ctx, mode, True)
-        return best, sigma
+def _sliced(X, D, want):
+    return np.split(D, np.cumsum([op.dim for op in X.operands[:-1]]), axis=1), want
 
-    if kind == "CartesianProduct":
-        offset = 0
-        total = 0.0
-        parts = []
-        for op in X.operands:
-            sub = d[offset : offset + op.dim]
-            value, sigma = _support_pair(sub, op, ctx, mode, want_vector)
-            total += value
-            if want_vector:
-                parts.append(sigma)
-            offset += op.dim
-        return total, (np.concatenate(parts) if want_vector else None)
 
-    if kind == "LinearMap":
-        value, sigma = _support_pair(X.matrix.T @ d, X.operands[0], ctx, mode, want_vector)
-        return value, (X.matrix @ sigma if want_vector else None)
+def _axes(X, D, want):
+    return (_axis_directions(X.dim),), False
 
-    if kind == "AffineMap":
-        value, sigma = _support_pair(X.matrix.T @ d, X.operands[0], ctx, mode, want_vector)
-        value = value + float(d @ X.vector)
-        return value, (X.matrix @ sigma + X.vector if want_vector else None)
 
-    if kind == "Translation":
-        value, sigma = _support_pair(d, X.operands[0], ctx, mode, want_vector)
-        return value + float(d @ X.vector), (sigma + X.vector if want_vector else None)
+def _complement(X, D, want):
+    raise UnsupportedOperationError("support queries over a complement are not defined")
 
-    if kind == "SymmetricIntervalHull":
-        child = X.operands[0]
-        n = X.dim
-        radius = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            up, _ = _support_pair(e, child, ctx, mode, False)
-            down, _ = _support_pair(-e, child, ctx, mode, False)
-            radius[i] = max(abs(up), abs(down))
-        value = float(np.abs(d) @ radius)
-        return value, (_sign_plus(d) * radius if want_vector else None)
 
-    if kind == "Intersection":
-        if mode == "overapproximate":
-            left, _ = _support_pair(d, X.operands[0], ctx, mode, False)
-            right, _ = _support_pair(d, X.operands[1], ctx, mode, False)
-            if not want_vector:
-                return min(left, right), None
-            raise UnsupportedOperationError(
-                "support vectors are not available in overapproximate mode"
-            )
-        if X.dim == 2:
-            region = _intersection_hrep_2d(X, ctx)
-            value = region.support_function(d, ctx)
-            vec = region.support_vector(d, ctx) if want_vector else None
-            return value, vec
+def _exact_intersection(X, D, want):
+    if X.dim != 2:
         raise UnsupportedOperationError(
             "exact support over a lazy intersection is only available in 2-D; "
             "use mode='overapproximate' for the min-bound"
         )
+    return (), want
 
-    raise UnsupportedOperationError(f"support rule missing for kind {kind!r}")
+
+def _bounded_intersection(X, D, want):
+    if want:
+        raise UnsupportedOperationError("support vectors are not available in overapproximate mode")
+    return (D, D), False
+
+
+def _sum(X, D, results, want, ctx):
+    values, V = results[0]
+    for other, W in results[1:]:
+        values = values + other
+        if want:
+            V = V + W
+    return values, V
+
+
+def _product(X, D, results, want, ctx):
+    values, _ = _sum(X, D, results, False, ctx)
+    return values, (np.hstack([r[1] for r in results]) if want else None)
+
+
+def _first_max(X, D, results, want, ctx):
+    values = functools.reduce(np.maximum, [r[0] for r in results])
+    if not want:
+        return values, None
+    first = np.argmax([r[0] for r in results], axis=0)
+    return values, np.stack([r[1] for r in results])[first, np.arange(len(D))]
+
+
+def _affine(X, D, results, want, ctx):
+    values, V = results[0]
+    if want and X.matrix is not None:
+        V = V.dot(X.matrix.T)
+    if X.vector is None:
+        return values, V
+    return values + D.dot(X.vector), (V + X.vector if want else None)
+
+
+def _interval_hull(X, D, results, want, ctx):
+    extents = np.abs(results[0][0])
+    radius = np.maximum(extents[: X.dim], extents[X.dim :])
+    return np.abs(D).dot(radius), (_sign_plus(D) * radius if want else None)
+
+
+def _intersection_2d(X, D, results, want, ctx):
+    return _intersection_hrep_2d(X, ctx)._support_batch(D, ctx, want)
+
+
+def _min_bound(X, D, results, want, ctx):
+    return np.minimum(results[0][0], results[1][0]), None
+
+
+# Kind -> (blocks, combine).  ``blocks(X, D, want)`` returns the direction
+# block each operand receives and whether the operands' support vectors are
+# needed; ``combine(X, D, results, want, ctx)`` turns the operands' (values,
+# vectors) into the node's.  ``ndarray.dot`` beats ``@`` on small operands.
+_RULES = {
+    "LinearMap": (_mapped, _affine),
+    "AffineMap": (_mapped, _affine),
+    "Translation": (_mapped, _affine),
+    "MinkowskiSum": (_same, _sum),
+    "MinkowskiSumArray": (_same, _sum),
+    "CartesianProduct": (_sliced, _product),
+    "ConvexHullUnion": (_same, _first_max),
+    "Union": (_same, _first_max),
+    "SymmetricIntervalHull": (_axes, _interval_hull),
+    "Intersection": (_exact_intersection, _intersection_2d),
+    "Complement": (_complement, None),
+}
+_MODES = {
+    "exact": _RULES,
+    "overapproximate": {**_RULES, "Intersection": (_bounded_intersection, _min_bound)},
+}
+
+
+def _evaluate(T, D, ctx, mode, want):
+    """Support values of T along the rows of D, and its vectors if ``want``,
+    from one iterative post-order walk over (node, direction block) pairs.
+    The memo is keyed by their ids, so a shared subtree that receives the
+    same block is evaluated once; ``blocks`` keeps every block alive so that
+    no new array can reuse the id of a freed one."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    rules = _MODES[mode]
+    memo = {}
+    blocks = [D]
+    root = (T, D, want, (id(T), id(D), want), None)
+    stack = [root]
+    while stack:
+        node, block, w, key, children = stack.pop()
+        if children is not None:
+            memo[key] = rules[node.kind][1](node, block, [memo[c[3]] for c in children], w, ctx)
+        elif key in memo:
+            continue
+        elif type(node) is not LazyNode:
+            memo[key] = node._support_batch(block, ctx, w)
+        else:
+            child_blocks, cw = rules[node.kind][0](node, block, w)
+            blocks.extend(child_blocks)
+            children = [(op, b, cw, (id(op), id(b), cw), None) for op, b in zip(node.operands, child_blocks)]
+            stack.append((node, block, w, key, children))
+            stack.extend(children)
+    return memo[root[3]]
 
 
 def lazy_support_function(d, T: ConvexSet, ctx: ToleranceContext | None = None, mode: str = "exact") -> float:
@@ -279,22 +327,13 @@ def lazy_support_function(d, T: ConvexSet, ctx: ToleranceContext | None = None, 
     ``mode='overapproximate'`` additionally handles lazy intersections with
     the upper bound ``min`` rule.
     """
-    if mode not in ("exact", "overapproximate"):
-        raise ValueError(f"unknown mode {mode!r}")
-    ctx = resolve_tolerance(ctx)
-    d = _as_direction(d, T.dim)
-    value, _ = _support_pair(d, T, ctx, mode, False)
-    return value
+    values, _ = _evaluate(T, _as_direction(d, T.dim)[None], resolve_tolerance(ctx), mode, False)
+    return float(values[0])
 
 
 def lazy_support_vector(d, T: ConvexSet, ctx: ToleranceContext | None = None, mode: str = "exact") -> np.ndarray:
     """A maximizer consistent with :func:`lazy_support_function`."""
-    if mode not in ("exact", "overapproximate"):
-        raise ValueError(f"unknown mode {mode!r}")
-    ctx = resolve_tolerance(ctx)
-    d = _as_direction(d, T.dim)
-    _, vec = _support_pair(d, T, ctx, mode, True)
-    return vec
+    return _evaluate(T, _as_direction(d, T.dim)[None], resolve_tolerance(ctx), mode, True)[1][0]
 
 
 def _is_singleton(X) -> np.ndarray | None:
@@ -360,11 +399,11 @@ def lazy_membership(x, T: ConvexSet, ctx: ToleranceContext | None = None) -> boo
 
 
 def _is_zonotopal(X) -> bool:
-    if isinstance(X, (AbstractHyperrectangle, Zonotope)):
-        return True
-    if isinstance(X, LazyNode) and X.kind in _ZONOTOPAL_KINDS:
-        return all(_is_zonotopal(op) for op in X.operands)
-    return False
+    return _fold(
+        X,
+        lambda leaf: isinstance(leaf, (AbstractHyperrectangle, Zonotope)),
+        lambda node, flags: node.kind in _ZONOTOPAL_KINDS and all(flags),
+    )
 
 
 def _concretize_zonotopal(X, ctx) -> Zonotope:
@@ -446,15 +485,7 @@ def _concretize_2d(X, ctx) -> ConcreteSet:
             product = concrete_ops.cartesian_product(product, child, ctx)
         return concrete_ops._to_polygon(product, ctx)
     if kind == "SymmetricIntervalHull":
-        child = X.operands[0]
-        radius = np.empty(2)
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = 1.0
-            up = lazy_support_function(e, child, ctx)
-            down = lazy_support_function(-e, child, ctx)
-            radius[i] = max(abs(up), abs(down))
-        return concrete_ops._to_polygon(Hyperrectangle(np.zeros(2), radius), ctx)
+        return concrete_ops._to_polygon(symmetric_interval_hull(X.operands[0], ctx), ctx)
     raise UnsupportedOperationError(f"cannot concretize lazy kind {kind!r} in 2-D")
 
 

@@ -71,6 +71,20 @@ def _as_direction(d, n: int) -> np.ndarray:
     return d
 
 
+def _axis_directions(n: int) -> np.ndarray:
+    """The 2n rows ``e_1, ..., e_n, -e_1, ..., -e_n``."""
+    return np.concatenate((np.eye(n), -np.eye(n)))
+
+
+def _axis_extents(X, ctx, purpose: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis maximum and minimum of X, from one batched query on ``[I; -I]``."""
+    n = X.dim
+    values, _ = X.support_batch(_axis_directions(n), ctx)
+    if not np.all(np.isfinite(values)):
+        raise UnboundedSetError(f"cannot {purpose} an unbounded set")
+    return values[:n], -values[n:]
+
+
 def _convex_hull_2d(points: np.ndarray, eps: float | None = None) -> np.ndarray:
     """Counter-clockwise convex hull (monotone chain), dropping collinear
     points; starts at the lexicographically smallest vertex.
@@ -81,9 +95,14 @@ def _convex_hull_2d(points: np.ndarray, eps: float | None = None) -> np.ndarray:
     if eps is None:
         eps = resolve_tolerance(None).atol
     pts = sorted(map(tuple, np.asarray(points, dtype=float)))
+    # A point between two near-duplicates in the sort would keep both, so p
+    # is compared with every kept point within eps in x (a suffix of them).
     dedup = []
     for p in pts:
-        if not dedup or abs(p[0] - dedup[-1][0]) > eps or abs(p[1] - dedup[-1][1]) > eps:
+        j = len(dedup) - 1
+        while j >= 0 and p[0] - dedup[j][0] <= eps and abs(p[1] - dedup[j][1]) > eps:
+            j -= 1
+        if j < 0 or p[0] - dedup[j][0] > eps:
             dedup.append(p)
     if len(dedup) <= 2:
         return np.array(dedup, dtype=float).reshape(-1, 2)
@@ -105,7 +124,10 @@ def _convex_hull_2d(points: np.ndarray, eps: float | None = None) -> np.ndarray:
 
 
 class ConvexSet(ABC):
-    """Common query interface for concrete sets and lazy operation nodes."""
+    """Common query interface for concrete sets and lazy operation nodes.
+
+    Support queries are batched; a single direction is a batch of one.
+    """
 
     @property
     @abstractmethod
@@ -113,12 +135,27 @@ class ConvexSet(ABC):
         """Ambient dimension."""
 
     @abstractmethod
+    def _support_batch(self, D: np.ndarray, ctx, vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """:meth:`support_batch` for a direction matrix that is already validated."""
+
+    def support_batch(self, D, ctx: ToleranceContext | None = None, vectors: bool = False):
+        """``(values, vectors)`` along the rows of the (k, n) direction matrix D:
+        ``values[i] = rho(D[i], X)`` (may be ``math.inf``) and, if ``vectors``
+        is set, the (k, n) maximizers (else None; they raise where unbounded)."""
+        D = np.asarray(D, dtype=float)
+        if D.ndim != 2 or D.shape[1] != self.dim:
+            raise DimensionMismatchError(f"direction matrix has shape {D.shape}, expected (k, {self.dim})")
+        if not np.all(np.isfinite(D)):
+            raise ValueError("directions must have finite entries")
+        return self._support_batch(D, ctx, vectors)
+
     def support_function(self, d, ctx: ToleranceContext | None = None) -> float:
         """Maximum of ``d . x`` over the set (may be ``math.inf``)."""
+        return float(self._support_batch(self._check_direction(d)[None], ctx, False)[0][0])
 
-    @abstractmethod
     def support_vector(self, d, ctx: ToleranceContext | None = None) -> np.ndarray:
         """A maximizer of ``d . x`` over the set."""
+        return self._support_batch(self._check_direction(d)[None], ctx, True)[1][0]
 
     def contains(self, x, ctx: ToleranceContext | None = None) -> bool:
         raise UnsupportedOperationError(
@@ -130,6 +167,27 @@ class ConvexSet(ABC):
 
     def _check_direction(self, d) -> np.ndarray:
         return _as_direction(d, self.dim)
+
+
+def _flat_support(X, D, ctx, vectors, what: str, one_sided: bool):
+    # Half-spaces and hyperplanes are bounded only along d = lam * normal
+    # (lam >= 0 for a half-space), where rho(d) = lam * offset.
+    ctx = resolve_tolerance(ctx)
+    lam = D.dot(X.normal) / float(X.normal @ X.normal)
+    scale = np.maximum(1.0, np.abs(D).max(axis=1))
+    bounded = np.abs(D - lam[:, None] * X.normal).max(axis=1) <= ctx.ztol * scale
+    if one_sided:
+        bounded &= lam >= -ctx.ztol
+    if vectors and not bounded.all():
+        raise UnboundedSetError(f"{what} is unbounded in this direction")
+    values = np.where(bounded, lam * X.offset, math.inf)
+    return values, (np.tile(X.an_element(), (len(D), 1)) if vectors else None)
+
+
+def _vertex_support(vertices: np.ndarray, D: np.ndarray, vectors: bool):
+    # First maximizing vertex per direction.
+    S = D.dot(vertices.T)
+    return S.max(axis=1), (vertices[S.argmax(axis=1)] if vectors else None)
 
 
 class ConcreteSet(ConvexSet):
@@ -193,27 +251,8 @@ class HalfSpace(ConcreteSet):
 
     __hash__ = None
 
-    def _colinear_scale(self, d: np.ndarray, ctx: ToleranceContext) -> float | None:
-        # Returns lam with d == lam * normal, or None.
-        lam = float(d @ self.normal) / float(self.normal @ self.normal)
-        scale = max(1.0, float(np.max(np.abs(d))))
-        if np.max(np.abs(d - lam * self.normal)) <= ctx.ztol * scale:
-            return lam
-        return None
-
-    def support_function(self, d, ctx=None) -> float:
-        ctx = resolve_tolerance(ctx)
-        d = self._check_direction(d)
-        lam = self._colinear_scale(d, ctx)
-        if lam is None or lam < -ctx.ztol:
-            return math.inf
-        return lam * self.offset
-
-    def support_vector(self, d, ctx=None) -> np.ndarray:
-        value = self.support_function(d, ctx)
-        if value == math.inf:
-            raise UnboundedSetError("half-space is unbounded in this direction")
-        return self.an_element()
+    def _support_batch(self, D, ctx, vectors):
+        return _flat_support(self, D, ctx, vectors, "half-space", one_sided=True)
 
     def contains(self, x, ctx=None) -> bool:
         ctx = resolve_tolerance(ctx)
@@ -260,20 +299,8 @@ class Hyperplane(ConcreteSet):
 
     __hash__ = None
 
-    def support_function(self, d, ctx=None) -> float:
-        ctx = resolve_tolerance(ctx)
-        d = self._check_direction(d)
-        lam = float(d @ self.normal) / float(self.normal @ self.normal)
-        scale = max(1.0, float(np.max(np.abs(d))))
-        if np.max(np.abs(d - lam * self.normal)) <= ctx.ztol * scale:
-            return lam * self.offset
-        return math.inf
-
-    def support_vector(self, d, ctx=None) -> np.ndarray:
-        value = self.support_function(d, ctx)
-        if value == math.inf:
-            raise UnboundedSetError("hyperplane is unbounded in this direction")
-        return self.an_element()
+    def _support_batch(self, D, ctx, vectors):
+        return _flat_support(self, D, ctx, vectors, "hyperplane", one_sided=False)
 
     def contains(self, x, ctx=None) -> bool:
         ctx = resolve_tolerance(ctx)
@@ -319,13 +346,9 @@ class AbstractHyperrectangle(ConcreteSet):
     def high(self) -> np.ndarray:
         return self.center + self.radius_vector
 
-    def support_function(self, d, ctx=None) -> float:
-        d = self._check_direction(d)
-        return float(d @ self.center + np.abs(d) @ self.radius_vector)
-
-    def support_vector(self, d, ctx=None) -> np.ndarray:
-        d = self._check_direction(d)
-        return self.center + _sign_plus(d) * self.radius_vector
+    def _support_batch(self, D, ctx, vectors):
+        r = self.radius_vector
+        return D.dot(self.center) + np.abs(D).dot(r), (self.center + _sign_plus(D) * r if vectors else None)
 
     def contains(self, x, ctx=None) -> bool:
         ctx = resolve_tolerance(ctx)
@@ -499,16 +522,10 @@ class Zonotope(ConcreteSet):
 
     __hash__ = None
 
-    def support_function(self, d, ctx=None) -> float:
-        d = self._check_direction(d)
-        return float(d @ self.center + np.sum(np.abs(d @ self.generators)))
-
-    def support_vector(self, d, ctx=None) -> np.ndarray:
-        d = self._check_direction(d)
-        if self.num_generators == 0:
-            return self.center
-        signs = _sign_plus(d @ self.generators)
-        return self.center + self.generators @ signs
+    def _support_batch(self, D, ctx, vectors):
+        DG = D.dot(self.generators)
+        values = D.dot(self.center) + np.abs(DG).sum(axis=1)
+        return values, (self.center + _sign_plus(DG).dot(self.generators.T) if vectors else None)
 
     def contains(self, x, ctx=None) -> bool:
         # Feasibility of G xi = x - c with xi in [-1, 1]^m.
@@ -621,6 +638,11 @@ class HPolyhedron(ConcreteSet):
     def _lp_constraints(self) -> list[tuple[np.ndarray, float]]:
         return [(c.normal, c.offset) for c in self.constraints]
 
+    def _support_batch(self, D, ctx, vectors):
+        # One scalar query per row, so LP counts stay per direction.
+        values = np.array([self.support_function(d, ctx) for d in D]).reshape(len(D))
+        return values, (np.array([self.support_vector(d, ctx) for d in D]).reshape(D.shape) if vectors else None)
+
     def support_function(self, d, ctx=None) -> float:
         ctx = resolve_tolerance(ctx)
         d = self._check_direction(d)
@@ -655,12 +677,8 @@ class HPolyhedron(ConcreteSet):
 
     def is_bounded(self, ctx=None) -> bool:
         ctx = resolve_tolerance(ctx)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            if self.support_function(e, ctx) == math.inf:
-                return False
-            if self.support_function(-e, ctx) == math.inf:
+        for e in np.eye(self.dim):
+            if self.support_function(e, ctx) == math.inf or self.support_function(-e, ctx) == math.inf:
                 return False
         return True
 
@@ -682,9 +700,7 @@ class HPolyhedron(ConcreteSet):
         if not self.is_bounded(ctx):
             raise UnboundedSetError("vertex enumeration of an unbounded polyhedron")
         if self.dim == 1:
-            e = np.array([1.0])
-            hi = self.support_function(e, ctx)
-            lo = -self.support_function(-e, ctx)
+            (hi,), (lo,) = _axis_extents(self, ctx, "enumerate")
             if lo > hi + ctx.atol:
                 raise EmptySetError("vertex enumeration of an empty polyhedron")
             return [np.array([lo])] if approx_scalar(lo, hi, ctx) else [np.array([lo]), np.array([hi])]
@@ -793,15 +809,9 @@ class VPolygon(ConcreteSet):
         if self.num_vertices == 0:
             raise EmptySetError("operation on an empty polygon")
 
-    def support_function(self, d, ctx=None) -> float:
-        d = self._check_direction(d)
+    def _support_batch(self, D, ctx, vectors):
         self._require_nonempty()
-        return float(np.max(self.vertices @ d))
-
-    def support_vector(self, d, ctx=None) -> np.ndarray:
-        d = self._check_direction(d)
-        self._require_nonempty()
-        return self.vertices[int(np.argmax(self.vertices @ d))]
+        return _vertex_support(self.vertices, D, vectors)
 
     def contains(self, x, ctx=None) -> bool:
         ctx = resolve_tolerance(ctx)
@@ -902,13 +912,8 @@ class VPolytope(ConcreteSet):
 
     __hash__ = None
 
-    def support_function(self, d, ctx=None) -> float:
-        d = self._check_direction(d)
-        return float(np.max(self.vertices @ d))
-
-    def support_vector(self, d, ctx=None) -> np.ndarray:
-        d = self._check_direction(d)
-        return self.vertices[int(np.argmax(self.vertices @ d))]
+    def _support_batch(self, D, ctx, vectors):
+        return _vertex_support(self.vertices, D, vectors)
 
     def contains(self, x, ctx=None) -> bool:
         # x is a convex combination of the vertices: lambda >= 0, sum = 1,
@@ -999,17 +1004,7 @@ def sample(X: ConcreteSet, k: int, seed: int, ctx: ToleranceContext | None = Non
     ctx = resolve_tolerance(ctx)
     if k < 0:
         raise ValueError("sample count must be nonnegative")
-    n = X.dim
-    lo = np.empty(n)
-    hi = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        upper = X.support_function(e, ctx)
-        lower = -X.support_function(-e, ctx)
-        if not (math.isfinite(upper) and math.isfinite(lower)):
-            raise UnboundedSetError("cannot sample from an unbounded set")
-        lo[i], hi[i] = lower, upper
+    hi, lo = _axis_extents(X, ctx, "sample from")
     rng = np.random.default_rng(seed)
     out = []
     budget = 10 ** 6

@@ -1,0 +1,226 @@
+"""The batched support pass over lazy trees, against independent references.
+
+``support_reference.reference_support_pair`` is the per-direction recursion
+the batched evaluator replaced.  The batched pass changes the order of some
+sums (a matrix product per block instead of one dot product per direction)
+but not the arithmetic, so the two must agree to 1e-12 relative, fixed
+before running.
+"""
+
+import numpy as np
+import pytest
+
+import setcalc as sc
+from setcalc import (
+    box_approximation,
+    concretize,
+    lazy_support_function,
+    make_node,
+    overapproximate_template,
+    polar_template,
+)
+from setcalc.errors import UnsupportedOperationError
+from setcalc.lazyops import _evaluate
+from conftest import random_box_2d, random_polygon, random_unit_direction, random_zonotope_2d
+from support_reference import reference_support_pair
+from test_acceptance import _random_tree as criterion_6_tree
+
+RTOL = 1e-12
+CTX = sc.default_tolerance()
+
+KINDS = (
+    "LinearMap", "AffineMap", "Translation", "MinkowskiSum", "MinkowskiSumArray",
+    "CartesianProduct", "ConvexHullUnion", "Union", "SymmetricIntervalHull", "Intersection",
+)
+
+
+def _leaf(rng):
+    choice = int(rng.integers(0, 5))
+    if choice == 0:
+        return random_box_2d(rng)
+    if choice == 1:
+        return random_zonotope_2d(rng)
+    if choice == 2:
+        return random_polygon(rng, scale=1.5, max_points=6)
+    if choice == 3:
+        return sc.VPolytope(rng.uniform(-1.5, 1.5, (4, 2)))
+    return sc.HPolytope(random_box_2d(rng).constraints_list())  # support by LP
+
+
+def _tree(rng, depth):
+    """A random 2-D tree; every kind the support rules know can appear."""
+    if depth == 0:
+        return _leaf(rng)
+    kind = KINDS[int(rng.integers(0, len(KINDS)))]
+
+    def sub():
+        return _tree(rng, depth - 1)
+
+    if kind in ("MinkowskiSum", "ConvexHullUnion", "Union"):
+        return make_node(kind, [sub(), sub()])
+    if kind == "MinkowskiSumArray":
+        return make_node(kind, [sub(), sub(), sub()])
+    if kind == "LinearMap":
+        return make_node(kind, [sub()], matrix=rng.uniform(-1.2, 1.2, (2, 2)))
+    if kind == "AffineMap":
+        return make_node(kind, [sub()], matrix=rng.uniform(-1.2, 1.2, (2, 2)), vector=rng.uniform(-1, 1, 2))
+    if kind == "Translation":
+        return make_node(kind, [sub()], vector=rng.uniform(-1, 1, 2))
+    if kind == "SymmetricIntervalHull":
+        return make_node(kind, [sub()])
+    if kind == "CartesianProduct":
+        parts = [make_node("LinearMap", [sub()], matrix=rng.uniform(-1, 1, (1, 2))), sc.Interval(-0.5, 1.0)]
+        return make_node(kind, parts[:: int(rng.choice([-1, 1]))])
+    # A box around a member of the other operand keeps the intersection nonempty.
+    other = sub()
+    point = other.support_vector(random_unit_direction(rng))
+    box = sc.Hyperrectangle(point, rng.uniform(0.2, 1.5, 2))
+    return make_node(kind, [other, box][:: int(rng.choice([-1, 1]))])
+
+
+def _kinds(X, under_hull=False):
+    """(kind, under a symmetric interval hull) for every node of X."""
+    if not isinstance(X, sc.LazyNode):
+        return set()
+    out = {(X.kind, under_hull)}
+    for op in X.operands:
+        out |= _kinds(op, under_hull or X.kind == "SymmetricIntervalHull")
+    return out
+
+
+def _outcome(query):
+    try:
+        return query()
+    except Exception as exc:  # the type of the failure is what is compared
+        return type(exc)
+
+
+def _assert_same(batched, reference):
+    if isinstance(reference, type):
+        assert batched is reference
+        return
+    np.testing.assert_allclose(batched, reference, rtol=RTOL, atol=RTOL)
+
+
+def test_batched_pass_matches_per_direction_reference():
+    rng = np.random.default_rng(2026)
+    covered = set()
+    for _ in range(160):
+        tree = _tree(rng, int(rng.integers(1, 5)))
+        D = np.array([random_unit_direction(rng) for _ in range(6)])
+        kinds = _kinds(tree)
+        for mode in ("exact", "overapproximate"):
+            for want in (False, True):
+                part = 1 if want else 0
+                reference = [_outcome(lambda: reference_support_pair(d, tree, CTX, mode, want)[part]) for d in D]
+                batch = _outcome(lambda: _evaluate(tree, D, CTX, mode, want)[part])
+                ones = [_outcome(lambda: _evaluate(tree, d[None], CTX, mode, want)[part][0]) for d in D]
+                if mode == "overapproximate" and want and ("Intersection", False) in kinds:
+                    # Vectors are refused in this mode wherever a lazy
+                    # intersection needs them, whichever union branch wins.
+                    assert batch is UnsupportedOperationError
+                    assert all(one is UnsupportedOperationError for one in ones)
+                    continue
+                failures = [r for r in reference if isinstance(r, type)]
+                if failures:
+                    assert batch is failures[0]
+                else:
+                    _assert_same(batch, np.array(reference))
+                    covered |= {(kind, mode) for kind, _ in kinds}
+                for one, ref in zip(ones, reference):
+                    _assert_same(one, ref)
+    missing = {(kind, mode) for kind in KINDS for mode in ("exact", "overapproximate")} - covered
+    assert not missing
+
+
+def test_support_vectors_independent_oracle():
+    # Criterion 6's random 2-D trees: each support vector attains its value
+    # and lies in the concretized set.
+    rng = np.random.default_rng(20240)
+    checked = 0
+    while checked < 80:
+        tree = criterion_6_tree(rng, int(rng.integers(1, 5)))
+        if not isinstance(tree, sc.LazyNode):
+            continue
+        checked += 1
+        concrete = concretize(tree)
+        D = np.array([random_unit_direction(rng) for _ in range(16)])
+        values, vectors = tree.support_batch(D, vectors=True)
+        attained = np.einsum("ij,ij->i", D, vectors)
+        assert np.all(np.abs(attained - values) <= 1e-9 * np.maximum(1.0, np.abs(values)))
+        for sigma in vectors:
+            assert concrete.contains(sigma)
+
+
+def _rotation(angle, scale):
+    c, s = np.cos(angle), np.sin(angle)
+    return scale * np.array([[c, -s], [s, c]])
+
+
+def _box_support(D, center, radius):
+    return D @ center + np.abs(D) @ radius
+
+
+def test_deep_chain_matches_closed_form():
+    # rho(d, X_N) = rho((Phi^N)^T d, X0) + sum_{i<N} rho((Phi^i)^T d, E)
+    steps = 10_000
+    phi = _rotation(0.01, 0.9995)
+    c0, r0 = np.array([1.0, -0.5]), np.array([0.2, 0.1])
+    cE, rE = np.array([0.01, 0.0]), np.array([0.002, 0.003])
+    E = sc.Hyperrectangle(cE, rE)
+    X = sc.Hyperrectangle(c0, r0)
+    for _ in range(steps):
+        X = make_node("MinkowskiSum", [make_node("LinearMap", [X], matrix=phi), E])
+    assert X.depth() == 2 * steps + 1
+    assert X.num_leaves() == steps + 1
+
+    D = np.array(sc.generate_directions(polar_template(64)) + sc.generate_directions(sc.box_template(2)))
+    expected = np.zeros(len(D))
+    Di = D
+    for _ in range(steps):
+        expected += _box_support(Di, cE, rE)
+        Di = Di @ phi
+    expected += _box_support(Di, c0, r0)
+
+    offsets = [c.offset for c in overapproximate_template(X, polar_template(64)).constraints]
+    np.testing.assert_allclose(offsets, expected[:64], rtol=1e-9)
+    box = box_approximation(X)
+    np.testing.assert_allclose(box.high, expected[64::2], rtol=1e-9)
+    np.testing.assert_allclose(box.low, -expected[65::2], rtol=1e-9)
+
+
+@pytest.mark.parametrize("shape", ["nested_sums", "nested_interval_hulls"])
+def test_shared_subtrees_reach_the_leaf_once(monkeypatch, shape):
+    calls = []
+    original = sc.sets.AbstractHyperrectangle._support_batch
+
+    def counting(self, D, ctx, vectors):
+        calls.append(D.shape)
+        return original(self, D, ctx, vectors)
+
+    monkeypatch.setattr(sc.sets.AbstractHyperrectangle, "_support_batch", counting)
+    X = sc.BallInf([0.5, -0.25], 1.0)
+    d = np.array([0.6, -0.8])
+    D = np.array(sc.generate_directions(polar_template(64)))
+    tree = X
+    if shape == "nested_sums":
+        for _ in range(18):
+            tree = make_node("MinkowskiSum", [tree, tree])
+        expected = 2 ** 18 * X.support_function(d)
+        assert tree.num_leaves() == 2 ** 18 and tree.depth() == 19
+    else:
+        for _ in range(8):
+            tree = make_node("SymmetricIntervalHull", [tree])
+        expected = float(np.abs(d) @ np.array([1.5, 1.25]))  # |center| + radius per axis
+
+    queries = {
+        "scalar": lambda: lazy_support_function(d, tree),
+        "batch": lambda: tree.support_batch(D, vectors=True),
+        "box": lambda: box_approximation(tree),
+        "template": lambda: overapproximate_template(tree, polar_template(64)),
+    }
+    for name, query in queries.items():
+        calls.clear()
+        query()
+        assert len(calls) == 1, name
+    assert lazy_support_function(d, tree) == pytest.approx(expected, rel=1e-12)

@@ -6,6 +6,7 @@ import pytest
 
 import setcalc as sc
 from setcalc.errors import (
+    DimensionMismatchError,
     EmptySetError,
     UnboundedSetError,
     UnsupportedOperationError,
@@ -218,6 +219,54 @@ def test_support_vector_consistency_all_types():
             sigma = sc.support_vector(d, X)
             assert sc.membership(sigma, X)
             assert float(d @ sigma) == pytest.approx(rho, abs=1e-7)
+
+
+def test_support_batch_matches_single_directions():
+    # A single direction is a batch of one: each row of a batched query
+    # agrees with the scalar query along that row.
+    rng = np.random.default_rng(29)
+    for X in _type_zoo(rng):
+        D = np.array([random_unit_direction(rng, X.dim) for _ in range(12)])
+        values, vectors = X.support_batch(D, vectors=True)
+        assert values.shape == (12,) and vectors.shape == (12, X.dim)
+        assert X.support_batch(D)[1] is None
+        for d, value, sigma in zip(D, values, vectors):
+            assert value == pytest.approx(sc.support_function(d, X), rel=1e-12, abs=1e-12)
+            assert sigma == pytest.approx(sc.support_vector(d, X), rel=1e-12, abs=1e-12)
+
+
+def test_support_batch_flat_sets_and_validation():
+    H = sc.HalfSpace([1.0, 0.0], 2.0)
+    P = sc.Hyperplane([0.0, 1.0], 2.0)
+    D = np.array([[2.0, 0.0], [-1.0, 0.0], [1.0, 1.0]])
+    values, _ = H.support_batch(D)
+    assert values.tolist() == [4.0, math.inf, math.inf]
+    values, _ = P.support_batch(np.array([[0.0, -3.0], [0.0, 1.0], [1.0, 0.0]]))
+    assert values.tolist() == [-6.0, 2.0, math.inf]
+    with pytest.raises(UnboundedSetError):
+        H.support_batch(D, vectors=True)
+    _, vectors = H.support_batch(D[:1], vectors=True)
+    assert vectors.tolist() == [[2.0, 0.0]]
+    box = sc.BallInf(np.zeros(2), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        box.support_batch(np.ones(2))
+    with pytest.raises(DimensionMismatchError):
+        box.support_batch(np.ones((4, 3)))
+    with pytest.raises(ValueError):
+        box.support_batch([[np.nan, 0.0]])
+
+
+def test_convex_hull_merges_non_adjacent_near_duplicates():
+    # (0, 0) and (1e-9, 1e-9) are near-duplicates separated in the
+    # lexicographic sort by the real vertex (5e-10, -1); keeping both used
+    # to pop that vertex as collinear.
+    spatial = pytest.importorskip("scipy.spatial")
+    points = np.array([[0.0, 0.0], [5e-10, -1.0], [1e-9, 1e-9], [0.5, 1.0], [1.0, 0.5]])
+    expected = points[spatial.ConvexHull(points).vertices]
+    hull = sc.VPolygon(points).vertices
+    assert len(hull) == len(expected) == 4
+    for vertex in expected:
+        assert np.min(np.max(np.abs(hull - vertex), axis=1)) == 0.0
 
 
 def test_box_zonotope_support_agrees_with_lp():
