@@ -271,14 +271,11 @@ def intersection_fastpath(
     carrying the contradictory bounds.
     """
     ctx = resolve_tolerance(ctx)
-    if isinstance(H.normal, np.ndarray):
-        nonzero = np.nonzero(H.normal)[0]
-        if nonzero.size != 1:
-            raise UnsupportedOperationError("fast path needs a single-entry normal")
-        index = int(nonzero[0])
-        value = float(H.normal[index])
-    else:
+    nonzero = np.nonzero(H.normal)[0]
+    if nonzero.size != 1:
         raise UnsupportedOperationError("fast path needs a single-entry normal")
+    index = int(nonzero[0])
+    value = float(H.normal[index])
     if H.dim != X.dim:
         raise DimensionMismatchError(f"box has dimension {X.dim}, half-space {H.dim}")
 

@@ -23,6 +23,7 @@ from .sets import (
     VPolygon,
     Zonotope,
     _hrep_vertices_2d,
+    _normals_bound_2d,
 )
 from .concrete_ops import _as_zonotope, cartesian_product, is_empty
 
@@ -54,7 +55,7 @@ def tovrep(X: HPolytope, ctx: ToleranceContext | None = None) -> VPolygon:
         raise UnsupportedOperationError("tovrep is only implemented in dimension 2")
     if is_empty(X, ctx):
         raise EmptySetError("tovrep of an empty polytope")
-    if not X.is_bounded(ctx):
+    if not _normals_bound_2d(X.constraints):
         raise UnboundedSetError("tovrep of an unbounded region")
     vertices = _hrep_vertices_2d(X.constraints, ctx)
     if vertices is None:

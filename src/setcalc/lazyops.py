@@ -39,7 +39,7 @@ from .sets import (
 from . import concrete_ops
 from .approximation import symmetric_interval_hull
 from .conversion import tohrep
-from .sets import _hrep_vertices_2d
+from .sets import _hrep_vertices_2d, _normals_bound_2d
 
 UNARY_KINDS = frozenset({"LinearMap", "AffineMap", "Translation", "SymmetricIntervalHull", "Complement"})
 NARY_KINDS = frozenset({"MinkowskiSumArray", "Union"})
@@ -474,7 +474,9 @@ def _concretize_2d(X, ctx) -> ConcreteSet:
         return as_poly(X.operands[0]).translate(X.vector)
     if kind == "Intersection":
         region = _intersection_hrep_2d(X, ctx)
-        if not region.is_bounded(ctx):
+        if concrete_ops.is_empty(region, ctx):
+            return VPolygon([])
+        if not _normals_bound_2d(region.constraints):
             return region
         vertices = _hrep_vertices_2d(region.constraints, ctx)
         return VPolygon([]) if vertices is None else VPolygon(vertices)

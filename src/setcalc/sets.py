@@ -37,8 +37,7 @@ from .numerics import (
     solve_lp,
 )
 
-# Hard cap on exponential vertex enumerations (2^n box corners, 2^m zonotope
-# sign patterns).
+# Hard cap on the exponential vertex enumeration of boxes (2^n corners).
 _ENUM_CAP = 16
 
 
@@ -89,12 +88,14 @@ def _convex_hull_2d(points: np.ndarray, eps: float | None = None) -> np.ndarray:
     """Counter-clockwise convex hull (monotone chain), dropping collinear
     points; starts at the lexicographically smallest vertex.
 
-    ``eps`` controls both duplicate merging and the collinearity cutoff and
+    ``eps`` is a distance: points within it of a kept point merge, and a
+    point within it of the chord past it is dropped as collinear.  It
     defaults to the ambient absolute tolerance.
     """
     if eps is None:
         eps = resolve_tolerance(None).atol
-    pts = sorted(map(tuple, np.asarray(points, dtype=float)))
+    eps2 = eps * eps
+    pts = sorted(map(tuple, np.asarray(points, dtype=float).tolist()))
     # A point between two near-duplicates in the sort would keep both, so p
     # is compared with every kept point within eps in x (a suffix of them).
     dedup = []
@@ -107,19 +108,21 @@ def _convex_hull_2d(points: np.ndarray, eps: float | None = None) -> np.ndarray:
     if len(dedup) <= 2:
         return np.array(dedup, dtype=float).reshape(-1, 2)
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def chain(points):
+        out = []
+        for p in points:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                dx, dy = p[0] - ox, p[1] - oy
+                # cross = |p - o| * distance(a, line op); squares avoid the sqrt.
+                cross = (ax - ox) * dy - (ay - oy) * dx
+                if cross > 0.0 and cross * cross > eps2 * (dx * dx + dy * dy):
+                    break
+                out.pop()
+            out.append(p)
+        return out
 
-    lower = []
-    for p in dedup:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= eps:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(dedup):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= eps:
-            upper.pop()
-        upper.append(p)
+    lower, upper = chain(dedup), chain(reversed(dedup))
     return np.array(lower[:-1] + upper[:-1], dtype=float)
 
 
@@ -546,11 +549,6 @@ class Zonotope(ConcreteSet):
         return is_feasible(constraints, ctx)
 
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
-        m = self.num_generators
-        if m > _ENUM_CAP:
-            raise UnsupportedOperationError(
-                f"vertex enumeration with {m} generators exceeds the cap of {_ENUM_CAP}"
-            )
         if self.dim == 1:
             spread = float(np.sum(np.abs(self.generators)))
             lo, hi = float(self.center[0]) - spread, float(self.center[0]) + spread
@@ -559,14 +557,14 @@ class Zonotope(ConcreteSet):
             raise UnsupportedOperationError(
                 "zonotope vertex enumeration is only implemented for dimension <= 2"
             )
-        if m == 0:
-            return [self.center]
-        signs = np.array(
-            [[-1.0 if (bits >> j) & 1 else 1.0 for j in range(m)] for bits in range(2 ** m)]
-        )
-        points = self.center + signs @ self.generators.T
-        hull = _convex_hull_2d(points)
-        return [row for row in hull]
+        # Generators flipped into the upper half-plane and sorted by angle,
+        # walked forward then backward from c - sum(g), trace the boundary.
+        G = self.generators.T[np.any(self.generators != 0.0, axis=0)]
+        G = np.where(((G[:, 1] < 0.0) | ((G[:, 1] == 0.0) & (G[:, 0] < 0.0)))[:, None], -G, G)
+        G = G[np.argsort(np.arctan2(G[:, 1], G[:, 0]), kind="stable")]
+        start = self.center - G.sum(axis=0)
+        points = np.concatenate(([start], start + np.cumsum(np.concatenate((2.0 * G, -2.0 * G)), axis=0)))
+        return [row for row in _convex_hull_2d(points)]
 
     def constraints_list(self, ctx=None) -> list[HalfSpace]:
         if self.dim == 1:
@@ -677,6 +675,10 @@ class HPolyhedron(ConcreteSet):
 
     def is_bounded(self, ctx=None) -> bool:
         ctx = resolve_tolerance(ctx)
+        if self.dim == 2:
+            if self.constraints and not is_feasible(self._lp_constraints(), ctx):
+                raise EmptySetError("is_bounded of an empty polyhedron")
+            return _normals_bound_2d(self.constraints)
         for e in np.eye(self.dim):
             if self.support_function(e, ctx) == math.inf or self.support_function(-e, ctx) == math.inf:
                 return False
@@ -743,6 +745,23 @@ def _segment_constraints_2d(a: np.ndarray, b: np.ndarray) -> list[HalfSpace]:
     ]
 
 
+def _normals_bound_2d(constraints) -> bool:
+    """Whether nonempty regions cut out by these 2-D half-planes are bounded:
+    no cyclic gap between the unit normals, sorted by angle, reaches pi.  A
+    gap over 90 degrees is read from its sine (the cross product), up to the
+    rounding of the normalization, so antiparallel normals make a gap of pi."""
+    if not constraints:
+        return False
+    U = np.array([c.normal for c in constraints])
+    theta = np.arctan2(U[:, 1], U[:, 0])
+    order = np.argsort(theta)
+    U = U[order] / np.linalg.norm(U[order], axis=1)[:, None]
+    V = np.roll(U, -1, axis=0)
+    gap = np.diff(theta[order], append=theta[order[0]] + 2.0 * math.pi)
+    sine = U[:, 0] * V[:, 1] - U[:, 1] * V[:, 0]
+    return not np.any(np.where((U * V).sum(axis=1) < 0.0, sine <= 1e-14, gap > math.pi))
+
+
 def _hrep_vertices_2d(constraints, ctx: ToleranceContext) -> np.ndarray | None:
     """Vertices of a bounded 2-D H-representation.
 
@@ -750,23 +769,22 @@ def _hrep_vertices_2d(constraints, ctx: ToleranceContext) -> np.ndarray | None:
     them, so redundant constraints do not change the outcome.  Returns None
     for an empty region.
     """
-    items = list(constraints)
-    candidates = []
-    for i in range(len(items)):
-        a1, b1 = items[i].normal, items[i].offset
-        for j in range(i + 1, len(items)):
-            a2, b2 = items[j].normal, items[j].offset
-            det = a1[0] * a2[1] - a1[1] * a2[0]
-            if abs(det) <= 1e-14 * max(1.0, float(np.max(np.abs(a1))) * float(np.max(np.abs(a2)))):
-                continue
-            x = np.array(
-                [(b1 * a2[1] - b2 * a1[1]) / det, (a1[0] * b2 - a2[0] * b1) / det]
-            )
-            if all(float(c.normal @ x) <= c.offset + ctx.atol * 10.0 for c in items):
-                candidates.append(x)
-    if not candidates:
-        return None
-    return _convex_hull_2d(np.array(candidates))
+    A = np.array([c.normal for c in constraints], dtype=float).reshape(-1, 2)
+    b = np.array([c.offset for c in constraints], dtype=float)
+    i, j = np.triu_indices(len(b), 1)
+    a1, a2, b1, b2 = A[i], A[j], b[i], b[j]
+    det = a1[:, 0] * a2[:, 1] - a1[:, 1] * a2[:, 0]
+    keep = np.abs(det) > 1e-14 * np.maximum(1.0, np.abs(a1).max(axis=1) * np.abs(a2).max(axis=1))
+    a1, a2, b1, b2, det = a1[keep], a2[keep], b1[keep], b2[keep], det[keep]
+    P = np.stack(((b1 * a2[:, 1] - b2 * a1[:, 1]) / det, (a1[:, 0] * b2 - a2[:, 0] * b1) / det), axis=1)
+    # The (pairs x m) feasibility test runs in blocks of at most 8
+    # constraints spread through the list, each on the points that passed
+    # the blocks before: the same verdicts, with most entries never computed.
+    bound = b + 10.0 * ctx.atol
+    k = -(-len(b) // 8)
+    for s in range(k):
+        P = P[np.all(P[:, :1] * A[s::k, 0] + P[:, 1:] * A[s::k, 1] <= bound[s::k], axis=1)]
+    return _convex_hull_2d(P) if len(P) else None
 
 
 class VPolygon(ConcreteSet):
