@@ -41,83 +41,29 @@ EXIT_INTERNAL = 1
 EXIT_BAD_ARGS = 2
 EXIT_UNSUPPORTED = 3
 
-_SET_PARSERS = {}
-
-
-def _set_parser(name):
-    def register(fn):
-        _SET_PARSERS[name] = fn
-        return fn
-
-    return register
+# Set kind -> (class, fields): the fields are the constructor's arguments in
+# order, stored on the set under the same names.  ``constraints`` is a list of
+# {"normal", "offset"} objects.
+_SET_FIELDS = {
+    "BallInf": (sets.BallInf, ("center", "radius")),
+    "Hyperrectangle": (sets.Hyperrectangle, ("center", "radius")),
+    "Interval": (sets.Interval, ("lo", "hi")),
+    "Zonotope": (sets.Zonotope, ("center", "generators")),
+    "HalfSpace": (sets.HalfSpace, ("normal", "offset")),
+    "Hyperplane": (sets.Hyperplane, ("normal", "offset")),
+    "HPolyhedron": (sets.HPolyhedron, ("constraints",)),
+    "HPolytope": (sets.HPolytope, ("constraints",)),
+    "VPolygon": (sets.VPolygon, ("vertices",)),
+    "VPolytope": (sets.VPolytope, ("vertices",)),
+}
 
 
 def _need(obj: dict, key: str, kind: str):
     if key not in obj:
         raise DocumentError(f"{kind} document is missing the {key!r} field")
+    if key == "constraints":
+        return [sets.HalfSpace(_need(c, "normal", kind), _need(c, "offset", kind)) for c in obj[key]]
     return obj[key]
-
-
-@_set_parser("BallInf")
-def _parse_ballinf(obj):
-    return sets.BallInf(_need(obj, "center", "BallInf"), _need(obj, "radius", "BallInf"))
-
-
-@_set_parser("Hyperrectangle")
-def _parse_box(obj):
-    return sets.Hyperrectangle(
-        _need(obj, "center", "Hyperrectangle"), _need(obj, "radius", "Hyperrectangle")
-    )
-
-
-@_set_parser("Interval")
-def _parse_interval(obj):
-    return sets.Interval(_need(obj, "lo", "Interval"), _need(obj, "hi", "Interval"))
-
-
-@_set_parser("Zonotope")
-def _parse_zonotope(obj):
-    return sets.Zonotope(
-        _need(obj, "center", "Zonotope"), _need(obj, "generators", "Zonotope")
-    )
-
-
-@_set_parser("HalfSpace")
-def _parse_halfspace(obj):
-    return sets.HalfSpace(_need(obj, "normal", "HalfSpace"), _need(obj, "offset", "HalfSpace"))
-
-
-@_set_parser("Hyperplane")
-def _parse_hyperplane(obj):
-    return sets.Hyperplane(_need(obj, "normal", "Hyperplane"), _need(obj, "offset", "Hyperplane"))
-
-
-def _parse_hrep(obj, cls, name):
-    constraints = [
-        sets.HalfSpace(_need(c, "normal", name), _need(c, "offset", name))
-        for c in _need(obj, "constraints", name)
-    ]
-    return cls(constraints)
-
-
-@_set_parser("HPolyhedron")
-def _parse_hpolyhedron(obj):
-    return _parse_hrep(obj, sets.HPolyhedron, "HPolyhedron")
-
-
-@_set_parser("HPolytope")
-def _parse_hpolytope(obj):
-    return _parse_hrep(obj, sets.HPolytope, "HPolytope")
-
-
-@_set_parser("VPolygon")
-def _parse_vpolygon(obj):
-    return sets.VPolygon(_need(obj, "vertices", "VPolygon"))
-
-
-@_set_parser("VPolytope")
-def _parse_vpolytope(obj):
-    return sets.VPolytope(_need(obj, "vertices", "VPolytope"))
 
 
 def parse_node(obj):
@@ -126,11 +72,11 @@ def parse_node(obj):
         raise DocumentError(f"expected a JSON object, got {type(obj).__name__}")
     if "set" in obj:
         kind = obj["set"]
-        parser = _SET_PARSERS.get(kind)
-        if parser is None:
+        if kind not in _SET_FIELDS:
             raise DocumentError(f"unknown set kind {kind!r}")
+        cls, fields = _SET_FIELDS[kind]
         try:
-            return parser(obj)
+            return cls(*[_need(obj, key, kind) for key in fields])
         except (ValueError, DimensionMismatchError) as exc:
             raise DocumentError(f"invalid {kind} document: {exc}") from exc
     if "op" in obj:
@@ -159,30 +105,6 @@ def parse_doc(text: str):
 
 
 def serialize_node(X) -> dict:
-    if isinstance(X, sets.BallInf):
-        return {"set": "BallInf", "center": X.center.tolist(), "radius": X.radius}
-    if isinstance(X, sets.Interval):
-        return {"set": "Interval", "lo": X.lo, "hi": X.hi}
-    if isinstance(X, sets.Hyperrectangle):
-        return {"set": "Hyperrectangle", "center": X.center.tolist(), "radius": X.radius.tolist()}
-    if isinstance(X, sets.Zonotope):
-        return {"set": "Zonotope", "center": X.center.tolist(), "generators": X.generators.tolist()}
-    if isinstance(X, sets.HalfSpace):
-        return {"set": "HalfSpace", "normal": X.normal.tolist(), "offset": X.offset}
-    if isinstance(X, sets.Hyperplane):
-        return {"set": "Hyperplane", "normal": X.normal.tolist(), "offset": X.offset}
-    if isinstance(X, sets.HPolyhedron):
-        kind = "HPolytope" if isinstance(X, sets.HPolytope) else "HPolyhedron"
-        return {
-            "set": kind,
-            "constraints": [
-                {"normal": c.normal.tolist(), "offset": c.offset} for c in X.constraints
-            ],
-        }
-    if isinstance(X, sets.VPolygon):
-        return {"set": "VPolygon", "vertices": X.vertices.tolist()}
-    if isinstance(X, sets.VPolytope):
-        return {"set": "VPolytope", "vertices": X.vertices.tolist()}
     if isinstance(X, lazyops.LazyNode):
         out = {"op": X.kind, "args": [serialize_node(op) for op in X.operands]}
         if X.matrix is not None:
@@ -190,7 +112,16 @@ def serialize_node(X) -> dict:
         if X.vector is not None:
             out["vector"] = np.asarray(X.vector).tolist()
         return out
-    raise UnsupportedOperationError(f"cannot serialize {type(X).__name__}")
+    kind = type(X).__name__
+    if kind not in _SET_FIELDS:
+        raise UnsupportedOperationError(f"cannot serialize {kind}")
+    out = {"set": kind}
+    for key in _SET_FIELDS[kind][1]:
+        value = getattr(X, key)
+        if key == "constraints":
+            value = [{"normal": c.normal.tolist(), "offset": c.offset} for c in value]
+        out[key] = np.asarray(value).tolist()
+    return out
 
 
 def serialize_doc(X) -> str:
@@ -216,16 +147,9 @@ def _write_out(text: str, path: str | None):
             handle.write(text)
 
 
-def _constraints_csv(constraints) -> str:
-    lines = []
-    for c in constraints:
-        lines.append(",".join(_fmt(v) for v in list(c.normal) + [c.offset]))
-    return "\n".join(lines) + "\n"
-
-
-def _vertices_csv(vertices) -> str:
-    lines = [",".join(_fmt(v) for v in vertex) for vertex in vertices]
-    return "\n".join(lines) + "\n"
+def _csv(rows) -> str:
+    # One line per vertex, or per constraint as its normal and offset.
+    return "\n".join(",".join(_fmt(v) for v in row) for row in rows) + "\n"
 
 
 _PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
@@ -321,25 +245,13 @@ def cmd_overapprox(args) -> int:
         if args.eps <= 0:
             print("error: --eps must be positive", file=sys.stderr)
             return EXIT_BAD_ARGS
-        polygon = approximation.overapproximate_eps_2d(tree, args.eps)
-        if args.format == "json":
-            _write_out(serialize_doc(polygon) + "\n", args.out)
-        else:
-            _write_out(_vertices_csv(polygon.vertices_list()), args.out)
-        return EXIT_OK
-    template = _parse_template(args.template, tree.dim)
-    result = approximation.overapproximate_template(tree, template)
-    if args.format == "json":
-        _write_out(serialize_doc(result) + "\n", args.out)
+        result = approximation.overapproximate_eps_2d(tree, args.eps)
+        rows = result.vertices_list()
     else:
-        _write_out(_constraints_csv(result.constraints_list()), args.out)
+        result = approximation.overapproximate_template(tree, _parse_template(args.template, tree.dim))
+        rows = [[*c.normal, c.offset] for c in result.constraints_list()]
+    _write_out(serialize_doc(result) + "\n" if args.format == "json" else _csv(rows), args.out)
     return EXIT_OK
-
-
-def _concretize_if_lazy(X):
-    if isinstance(X, lazyops.LazyNode):
-        return lazyops.concretize(X)
-    return X
 
 
 def cmd_check(args) -> int:
@@ -361,8 +273,8 @@ def cmd_check(args) -> int:
             verdict = sets.membership(point, lazyops.concretize(tree_a))
     else:
         tree_b = _load_doc(args.doc2)
-        a = _concretize_if_lazy(tree_a)
-        b = _concretize_if_lazy(tree_b)
+        a = lazyops.concretize(tree_a)
+        b = lazyops.concretize(tree_b)
         if args.relation == "subset":
             verdict = concrete_ops.is_subset(a, b)
         elif args.relation == "disjoint":
@@ -377,7 +289,7 @@ def cmd_concretize(args) -> int:
     tree = _load_doc(args.doc)
     concrete = lazyops.concretize(tree)
     if args.format == "csv":
-        _write_out(_vertices_csv(concrete.vertices_list()), args.out)
+        _write_out(_csv(concrete.vertices_list()), args.out)
     else:
         _write_out(serialize_doc(concrete) + "\n", args.out)
     return EXIT_OK
@@ -390,11 +302,7 @@ def cmd_plot(args) -> int:
         if tree.dim != 2:
             print(f"error: {path} is not 2-D", file=sys.stderr)
             return EXIT_BAD_ARGS
-        concrete = lazyops.concretize(tree)
-        polygon = concrete if isinstance(concrete, sets.VPolygon) else sets.VPolygon(
-            concrete.vertices_list()
-        )
-        polygons.append(polygon.vertices)
+        polygons.append(concrete_ops._to_polygon(lazyops.concretize(tree), default_tolerance()).vertices)
     _write_out(render_svg(polygons), args.out)
     return EXIT_OK
 

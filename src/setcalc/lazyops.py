@@ -1,8 +1,9 @@
 """Lazy set operations as immutable expression-tree nodes.
 
 A :class:`LazyNode` records an operation applied to child sets (lazy or
-concrete) without computing anything.  Support queries take a direction
-matrix and propagate it down the tree in one iterative, memoized pass:
+concrete) without computing anything.  Every kind has one row in ``_KINDS``
+holding its arity and its rules.  Support queries take a direction matrix and
+propagate it down the tree in one iterative, memoized pass:
 
     rho(d, X + Y)        = rho(d, X) + rho(d, Y)
     rho((d1, d2), X x Z) = rho(d1, X) + rho(d2, Z)
@@ -14,15 +15,18 @@ plus a box formula for the symmetric interval hull.  An exact support value
 over a lazy binary intersection has no composition rule; exact queries
 concretize 2-D intersections and refuse otherwise, while the explicit
 overapproximate mode returns the upper bound ``min(rho(d, X), rho(d, Y))``.
+Concretization and membership walk the same rows without recursion, so deep
+and shared trees cost time linear in their distinct nodes.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedOperationError
+from .errors import DimensionMismatchError, EmptySetError, UnboundedSetError, UnsupportedOperationError
 from .numerics import ToleranceContext, resolve_tolerance
 from .sets import (
     AbstractHyperrectangle,
@@ -38,18 +42,7 @@ from .sets import (
 )
 from . import concrete_ops
 from .approximation import symmetric_interval_hull
-from .conversion import tohrep
-from .sets import _hrep_vertices_2d, _normals_bound_2d
-
-UNARY_KINDS = frozenset({"LinearMap", "AffineMap", "Translation", "SymmetricIntervalHull", "Complement"})
-NARY_KINDS = frozenset({"MinkowskiSumArray", "Union"})
-BINARY_KINDS = frozenset({"MinkowskiSum", "Intersection", "CartesianProduct", "ConvexHullUnion"})
-KINDS = UNARY_KINDS | NARY_KINDS | BINARY_KINDS
-
-# Kinds under which a tree of zonotopic leaves concretizes in closed form.
-_ZONOTOPAL_KINDS = frozenset(
-    {"MinkowskiSum", "MinkowskiSumArray", "LinearMap", "AffineMap", "Translation", "CartesianProduct"}
-)
+from .conversion import tohrep, tovrep
 
 
 class LazyNode(ConvexSet):
@@ -108,21 +101,26 @@ class LazyNode(ConvexSet):
         return _fold(self, lambda leaf: 1, lambda node, counts: sum(counts))
 
 
-def _fold(root, leaf, combine):
+def _fold(root, leaf, combine, operands=lambda X: X.operands):
     """Value of ``root`` from its leaves up, without recursion: ``leaf(X)``
-    values a concrete set, ``combine(node, values)`` a lazy node from its
-    operands' values.  Shared nodes are expanded once (linear on DAGs)."""
+    values a concrete set, ``combine(node, values)`` a lazy node from the
+    values of ``operands(node)``, which are visited left to right.  Shared
+    nodes are valued once (linear on DAGs)."""
     values = {}
     stack = [root]
     while stack:
         X = stack.pop()
+        if id(X) in values:
+            continue
         if type(X) is not LazyNode:
             values[id(X)] = leaf(X)
-        elif all(id(op) in values for op in X.operands):
-            values[id(X)] = combine(X, [values[id(op)] for op in X.operands])
+            continue
+        ops = operands(X)
+        if all(id(op) in values for op in ops):
+            values[id(X)] = combine(X, [values[id(op)] for op in ops])
         else:
             stack.append(X)
-            stack.extend(op for op in X.operands if id(op) not in values)
+            stack.extend(op for op in reversed(ops) if id(op) not in values)
     return values[id(root)]
 
 
@@ -142,14 +140,11 @@ def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:
         if not isinstance(op, ConvexSet):
             raise TypeError(f"operand {op!r} is not a set")
 
-    if kind in UNARY_KINDS:
-        if len(operands) != 1:
-            raise ValueError(f"{kind} takes exactly one operand")
-    elif kind in BINARY_KINDS:
-        if len(operands) != 2:
-            raise ValueError(f"{kind} takes exactly two operands")
-    elif len(operands) < 2:
+    arity = _KINDS[kind].arity
+    if arity is None and len(operands) < 2:
         raise ValueError(f"{kind} takes at least two operands")
+    if arity is not None and len(operands) != arity:
+        raise ValueError(f"{kind} takes exactly {'one operand' if arity == 1 else 'two operands'}")
 
     dims = [op.dim for op in operands]
     if kind == "CartesianProduct":
@@ -186,6 +181,18 @@ def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:
     return LazyNode(kind, operands, matrix, vector, _dim=node_dim)
 
 
+def _offsets(X):
+    # Where a cartesian product's coordinates pass from one operand to the next.
+    return np.cumsum([op.dim for op in X.operands[:-1]])
+
+
+# ---------------------------------------------------------------------------
+# Support rules: ``blocks(X, D, want)`` returns the direction block each
+# operand receives and whether the operands' support vectors are needed;
+# ``combine(X, D, results, want, ctx)`` turns the operands' (values, vectors)
+# into the node's.  ``ndarray.dot`` beats ``@`` on small operands.
+
+
 def _same(X, D, want):
     return (D,) * len(X.operands), want
 
@@ -196,7 +203,7 @@ def _mapped(X, D, want):
 
 
 def _sliced(X, D, want):
-    return np.split(D, np.cumsum([op.dim for op in X.operands[:-1]]), axis=1), want
+    return np.split(D, _offsets(X), axis=1), want
 
 
 def _axes(X, D, want):
@@ -267,26 +274,149 @@ def _min_bound(X, D, results, want, ctx):
     return np.minimum(results[0][0], results[1][0]), None
 
 
-# Kind -> (blocks, combine).  ``blocks(X, D, want)`` returns the direction
-# block each operand receives and whether the operands' support vectors are
-# needed; ``combine(X, D, results, want, ctx)`` turns the operands' (values,
-# vectors) into the node's.  ``ndarray.dot`` beats ``@`` on small operands.
-_RULES = {
-    "LinearMap": (_mapped, _affine),
-    "AffineMap": (_mapped, _affine),
-    "Translation": (_mapped, _affine),
-    "MinkowskiSum": (_same, _sum),
-    "MinkowskiSumArray": (_same, _sum),
-    "CartesianProduct": (_sliced, _product),
-    "ConvexHullUnion": (_same, _first_max),
-    "Union": (_same, _first_max),
-    "SymmetricIntervalHull": (_axes, _interval_hull),
-    "Intersection": (_exact_intersection, _intersection_2d),
-    "Complement": (_complement, None),
+# ---------------------------------------------------------------------------
+# Concretize rules ``(X, values, ctx)``, over the concrete values of X's
+# operands.  A zonotope rule is the closed form on zonotope operands; a
+# polygon rule builds a 2-D node from any operand values.
+
+
+def _mapped_set(X, values, ctx):
+    # LinearMap, AffineMap and Translation: M Y + b
+    Y = values[0] if X.matrix is None else concrete_ops.linear_map(X.matrix, values[0], ctx)
+    return Y if X.vector is None else Y.translate(X.vector)
+
+
+def _sum_set(X, values, ctx):
+    return functools.reduce(lambda A, B: concrete_ops.minkowski_sum(A, B, ctx), values)
+
+
+def _product_set(X, values, ctx):
+    return concrete_ops.cartesian_product(*values, ctx)
+
+
+def _polygon_of(rule):
+    """``rule`` on the operands' values, with its result made a polygon."""
+    return lambda X, values, ctx: concrete_ops._to_polygon(rule(X, values, ctx), ctx)
+
+
+def _on_polygons(rule):
+    """``rule`` on the operands' values made polygons."""
+    return lambda X, values, ctx: rule(X, [concrete_ops._to_polygon(v, ctx) for v in values], ctx)
+
+
+def _operand_hrep_2d(X, values, ctx) -> HPolyhedron:
+    # Concrete operands contribute their own constraint lists (so half-space
+    # and H-polyhedron operands are fine); lazy ones the edges of their polygon.
+    constraints = []
+    for op, value in zip(X.operands, values):
+        constraints.extend((tohrep(value, ctx) if type(op) is LazyNode else value).constraints_list(ctx))
+    return HPolyhedron(constraints, dim=2)
+
+
+def _intersection_set(X, values, ctx):
+    region = _operand_hrep_2d(X, values, ctx)
+    try:
+        return tovrep(region, ctx)
+    except EmptySetError:
+        return VPolygon([])
+    except UnboundedSetError:
+        return region
+
+
+def _interval_hull_set(X, values, ctx):
+    return concrete_ops._to_polygon(symmetric_interval_hull(X.operands[0], ctx), ctx)
+
+
+# ---------------------------------------------------------------------------
+# Membership rules ``(X, x, ctx)`` are coroutines: each ``yield (operand, y)``
+# asks whether y lies in the operand, and the return value is X's verdict.
+
+
+def _decided_by(verdict, points=lambda X, x: [x] * len(X.operands)):
+    """The rule that asks the operands in order, each at its point, and says
+    ``verdict`` once one does, else its negation: ``any`` or ``all``."""
+
+    def rule(X, x, ctx):
+        for op, y in zip(X.operands, points(X, x)):
+            if bool((yield op, y)) is verdict:
+                return verdict
+        return not verdict
+
+    return rule
+
+
+def _negation(X, x, ctx):
+    return not (yield X.operands[0], x)
+
+
+def _preimage(X, x, ctx):
+    # LinearMap, AffineMap and Translation: x in M Y + b iff M^-1 (x - b) in Y
+    y = x if X.vector is None else x - X.vector
+    if X.matrix is not None:
+        if X.matrix.shape[0] != X.matrix.shape[1]:
+            raise UnsupportedOperationError("membership needs an invertible map")
+        try:
+            y = np.linalg.inv(X.matrix) @ y
+        except np.linalg.LinAlgError:
+            raise UnsupportedOperationError("membership needs an invertible map") from None
+    return (yield X.operands[0], y)
+
+
+def _is_singleton(X) -> np.ndarray | None:
+    if isinstance(X, AbstractHyperrectangle) and np.all(X.radius_vector == 0.0):
+        return X.center
+    if isinstance(X, Zonotope) and X.num_generators == 0:
+        return X.center
+    if isinstance(X, (VPolygon,)) and X.num_vertices == 1:
+        return X.vertices[0]
+    return None
+
+
+def _singleton_shift(X, x, ctx):
+    # A Minkowski sum whose operands are all single points but at most one.
+    points = [_is_singleton(op) for op in X.operands]
+    movable = [op for op, p in zip(X.operands, points) if p is None]
+    shift = sum((p for p in points if p is not None), np.zeros(X.dim))
+    if not movable:
+        return bool(np.all(np.abs(x - shift) <= ctx.atol))
+    if len(movable) > 1:
+        raise UnsupportedOperationError("membership in a Minkowski sum needs all but one operand to be singletons")
+    return (yield movable[0], x - shift)
+
+
+class _Kind(NamedTuple):
+    arity: int | None  # operand count; None means two or more
+    support: tuple  # (blocks, combine) of the support pass
+    zonotope: Callable | None  # concretize: closed form on zonotope operands
+    polygon: Callable | None  # concretize: a 2-D node from its operands' values
+    member: Callable | None  # membership coroutine
+    lazy_operand: bool = False  # the polygon rule reads the operand unconcretized
+
+
+_KINDS = {
+    "LinearMap": _Kind(1, (_mapped, _affine), _mapped_set, _polygon_of(_mapped_set), _preimage),
+    "AffineMap": _Kind(1, (_mapped, _affine), _mapped_set, _polygon_of(_mapped_set), _preimage),
+    "Translation": _Kind(1, (_mapped, _affine), _mapped_set, _on_polygons(_mapped_set), _preimage),
+    "MinkowskiSum": _Kind(2, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift),
+    "MinkowskiSumArray": _Kind(None, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift),
+    "CartesianProduct": _Kind(
+        2, (_sliced, _product), _product_set, _polygon_of(_product_set),
+        _decided_by(False, lambda X, x: np.split(x, _offsets(X))),
+    ),
+    "ConvexHullUnion": _Kind(
+        2, (_same, _first_max), None, _on_polygons(lambda X, P, ctx: concrete_ops.convex_hull_union(*P, ctx)), None
+    ),
+    "Union": _Kind(None, (_same, _first_max), None, None, _decided_by(True)),
+    "Intersection": _Kind(2, (_exact_intersection, _intersection_2d), None, _intersection_set, _decided_by(False)),
+    "SymmetricIntervalHull": _Kind(1, (_axes, _interval_hull), None, _interval_hull_set, None, True),
+    "Complement": _Kind(1, (_complement, None), None, None, _negation),
 }
+KINDS = frozenset(_KINDS)
+
+_SUPPORT = {kind: row.support for kind, row in _KINDS.items()}
 _MODES = {
-    "exact": _RULES,
-    "overapproximate": {**_RULES, "Intersection": (_bounded_intersection, _min_bound)},
+    "exact": _SUPPORT,
+    "overapproximate": {**_SUPPORT, "Intersection": (_bounded_intersection, _min_bound)},
 }
 
 
@@ -336,178 +466,83 @@ def lazy_support_vector(d, T: ConvexSet, ctx: ToleranceContext | None = None, mo
     return _evaluate(T, _as_direction(d, T.dim)[None], resolve_tolerance(ctx), mode, True)[1][0]
 
 
-def _is_singleton(X) -> np.ndarray | None:
-    if isinstance(X, AbstractHyperrectangle) and np.all(X.radius_vector == 0.0):
-        return X.center
-    if isinstance(X, Zonotope) and X.num_generators == 0:
-        return X.center
-    if isinstance(X, (VPolygon,)) and X.num_vertices == 1:
-        return X.vertices[0]
-    return None
-
-
 def lazy_membership(x, T: ConvexSet, ctx: ToleranceContext | None = None) -> bool:
     """Exact membership on the boolean-friendly fragment.
 
     Supported kinds: Union (or), Intersection (and), Complement (negation),
     Translation, invertible LinearMap/AffineMap, CartesianProduct (split),
     and MinkowskiSum with a singleton operand.  Anything else raises.
+    Operands are asked left to right and only until the verdict is decided;
+    each (node, point) pair is decided once.
     """
     ctx = resolve_tolerance(ctx)
-    x = _as_direction(x, T.dim)
-    if isinstance(T, ConcreteSet):
-        return T.contains(x, ctx)
-    kind = T.kind
-    if kind == "Union":
-        return any(lazy_membership(x, op, ctx) for op in T.operands)
-    if kind == "Intersection":
-        return all(lazy_membership(x, op, ctx) for op in T.operands)
-    if kind == "Complement":
-        return not lazy_membership(x, T.operands[0], ctx)
-    if kind == "Translation":
-        return lazy_membership(x - T.vector, T.operands[0], ctx)
-    if kind in ("LinearMap", "AffineMap"):
-        M = T.matrix
-        if M.shape[0] != M.shape[1]:
-            raise UnsupportedOperationError("membership needs an invertible map")
+
+    def root():
+        return (yield T, x)
+
+    memo = {}
+    running = [(None, root())]  # (key, membership coroutine) of the nodes being decided
+    verdict = None
+    while running:
+        key, rule = running[-1]
         try:
-            Minv = np.linalg.inv(M)
-        except np.linalg.LinAlgError:
-            raise UnsupportedOperationError("membership needs an invertible map") from None
-        y = x - T.vector if kind == "AffineMap" else x
-        return lazy_membership(Minv @ y, T.operands[0], ctx)
-    if kind == "CartesianProduct":
-        offset = 0
-        for op in T.operands:
-            if not lazy_membership(x[offset : offset + op.dim], op, ctx):
-                return False
-            offset += op.dim
-        return True
-    if kind in ("MinkowskiSum", "MinkowskiSumArray"):
-        points = [_is_singleton(op) for op in T.operands]
-        movable = [i for i, p in enumerate(points) if p is None]
-        if len(movable) == 1:
-            shift = sum((p for p in points if p is not None), np.zeros(T.dim))
-            return lazy_membership(x - shift, T.operands[movable[0]], ctx)
-        if len(movable) == 0:
-            shift = sum(points, np.zeros(T.dim))
-            return bool(np.all(np.abs(x - shift) <= ctx.atol))
-        raise UnsupportedOperationError(
-            "membership in a Minkowski sum needs all but one operand to be singletons"
-        )
-    raise UnsupportedOperationError(f"membership is not defined for lazy kind {kind!r}")
-
-
-def _is_zonotopal(X) -> bool:
-    return _fold(
-        X,
-        lambda leaf: isinstance(leaf, (AbstractHyperrectangle, Zonotope)),
-        lambda node, flags: node.kind in _ZONOTOPAL_KINDS and all(flags),
-    )
-
-
-def _concretize_zonotopal(X, ctx) -> Zonotope:
-    if isinstance(X, ConcreteSet):
-        return concrete_ops._as_zonotope(X)
-    kind = X.kind
-    children = [_concretize_zonotopal(op, ctx) for op in X.operands]
-    if kind in ("MinkowskiSum", "MinkowskiSumArray"):
-        out = children[0]
-        for child in children[1:]:
-            out = concrete_ops.minkowski_sum(out, child, ctx)
-        return out
-    if kind == "LinearMap":
-        return concrete_ops.linear_map(X.matrix, children[0], ctx)
-    if kind == "AffineMap":
-        return concrete_ops.translate(
-            concrete_ops.linear_map(X.matrix, children[0], ctx), X.vector
-        )
-    if kind == "Translation":
-        return concrete_ops.translate(children[0], X.vector)
-    if kind == "CartesianProduct":
-        return concrete_ops.cartesian_product(children[0], children[1], ctx)
-    raise UnsupportedOperationError(f"kind {kind!r} does not preserve zonotopes")
+            node, point = rule.send(verdict)
+        except StopIteration as done:
+            running.pop()
+            memo[key] = verdict = done.value
+            continue
+        point = _as_direction(point, node.dim)
+        key = (id(node), point.tobytes())
+        if key in memo:
+            verdict = memo[key]
+        elif type(node) is not LazyNode:
+            verdict = memo[key] = node.contains(point, ctx)
+        elif _KINDS[node.kind].member is None:
+            raise UnsupportedOperationError(f"membership is not defined for lazy kind {node.kind!r}")
+        else:
+            running.append((key, _KINDS[node.kind].member(node, point, ctx)))
+            verdict = None
+    return verdict
 
 
 def _intersection_hrep_2d(X, ctx) -> HPolyhedron:
-    """H-representation of a 2-D lazy intersection node.
-
-    Concrete operands contribute their constraint lists directly (so
-    half-space and H-polyhedron operands are fine); lazy operands are
-    concretized to polygons first.
-    """
-    constraints = []
-    for op in X.operands:
-        if isinstance(op, ConcreteSet):
-            constraints.extend(op.constraints_list(ctx))
-        else:
-            poly = concrete_ops._to_polygon(concretize(op, ctx), ctx)
-            constraints.extend(tohrep(poly, ctx).constraints)
-    return HPolyhedron(constraints, dim=2)
-
-
-def _concretize_2d(X, ctx) -> ConcreteSet:
-    if isinstance(X, ConcreteSet):
-        return concrete_ops._to_polygon(X, ctx)
-
-    def as_poly(node):
-        return concrete_ops._to_polygon(_concretize_2d(node, ctx), ctx)
-
-    kind = X.kind
-    if kind in ("MinkowskiSum", "MinkowskiSumArray"):
-        out = as_poly(X.operands[0])
-        for op in X.operands[1:]:
-            out = concrete_ops._polygon_minkowski(out, as_poly(op), ctx)
-        return out
-    if kind == "ConvexHullUnion":
-        left = as_poly(X.operands[0])
-        right = as_poly(X.operands[1])
-        return VPolygon(np.vstack([left.vertices, right.vertices]))
-    if kind == "LinearMap":
-        child = concretize(X.operands[0], ctx)
-        return concrete_ops._to_polygon(concrete_ops.linear_map(X.matrix, child, ctx), ctx)
-    if kind == "AffineMap":
-        child = concretize(X.operands[0], ctx)
-        mapped = concrete_ops.linear_map(X.matrix, child, ctx)
-        return concrete_ops._to_polygon(concrete_ops.translate(mapped, X.vector), ctx)
-    if kind == "Translation":
-        return as_poly(X.operands[0]).translate(X.vector)
-    if kind == "Intersection":
-        region = _intersection_hrep_2d(X, ctx)
-        if concrete_ops.is_empty(region, ctx):
-            return VPolygon([])
-        if not _normals_bound_2d(region.constraints):
-            return region
-        vertices = _hrep_vertices_2d(region.constraints, ctx)
-        return VPolygon([]) if vertices is None else VPolygon(vertices)
-    if kind == "CartesianProduct":
-        children = [concretize(op, ctx) for op in X.operands]
-        product = children[0]
-        for child in children[1:]:
-            product = concrete_ops.cartesian_product(product, child, ctx)
-        return concrete_ops._to_polygon(product, ctx)
-    if kind == "SymmetricIntervalHull":
-        return concrete_ops._to_polygon(symmetric_interval_hull(X.operands[0], ctx), ctx)
-    raise UnsupportedOperationError(f"cannot concretize lazy kind {kind!r} in 2-D")
+    """H-representation of a 2-D lazy intersection node."""
+    return _operand_hrep_2d(X, [concretize(op, ctx) for op in X.operands], ctx)
 
 
 def concretize(T: ConvexSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
     """Evaluate a lazy tree into a concrete set.
 
-    Trees whose kinds all preserve zonotopes collapse in closed form (any
-    dimension); general 2-D trees over polytopic leaves are evaluated
-    bottom-up into a polygon.  Everything else raises.
+    Trees of box and zonotope leaves under zonotope-preserving kinds
+    collapse in closed form (any dimension).  Any other tree is built in one
+    bottom-up pass: 2-D nodes as polygons from their operands' values, other
+    nodes in closed form where their operands are zonotopes.  Everything
+    else raises.
     """
     ctx = resolve_tolerance(ctx)
-    if isinstance(T, ConcreteSet):
-        return T
-    if not isinstance(T, LazyNode):
+    if not isinstance(T, (ConcreteSet, LazyNode)):
         raise TypeError(f"expected a set, got {type(T).__name__}")
-    if _is_zonotopal(T):
-        return _concretize_zonotopal(T, ctx)
-    if T.dim == 2:
-        return _concretize_2d(T, ctx)
-    raise UnsupportedOperationError(
-        f"cannot concretize kind {T.kind!r} in dimension {T.dim}: outside both "
-        "the zonotope-preserving and the 2-D polygon fragments"
-    )
+    zonotopal = _fold(T, lambda leaf: isinstance(leaf, (AbstractHyperrectangle, Zonotope)),
+                      lambda X, flags: _KINDS[X.kind].zonotope is not None and all(flags))
+
+    def operands(X):
+        # The operands whose values X's rules read: none where X cannot use
+        # them, so that X raises before any of them is concretized.
+        row = _KINDS[X.kind]
+        if row.zonotope is None and (row.lazy_operand or row.polygon is None or X.dim != 2):
+            return ()
+        return X.operands
+
+    def combine(X, values):
+        row = _KINDS[X.kind]
+        closed = row.zonotope is not None and (zonotopal or X.dim != 2)
+        if closed and all(isinstance(v, (AbstractHyperrectangle, Zonotope)) for v in values):
+            return row.zonotope(X, [concrete_ops._as_zonotope(v) for v in values], ctx)
+        if X.dim != 2 or row.polygon is None:
+            raise UnsupportedOperationError(
+                f"cannot concretize lazy kind {X.kind!r} in dimension {X.dim}: outside both "
+                "the zonotope-preserving and the 2-D polygon fragments"
+            )
+        return row.polygon(X, values, ctx)
+
+    return _fold(T, lambda leaf: leaf, combine, operands)

@@ -705,7 +705,7 @@ class HPolyhedron(ConcreteSet):
             (hi,), (lo,) = _axis_extents(self, ctx, "enumerate")
             if lo > hi + ctx.atol:
                 raise EmptySetError("vertex enumeration of an empty polyhedron")
-            return [np.array([lo])] if approx_scalar(lo, hi, ctx) else [np.array([lo]), np.array([hi])]
+            return [np.array([lo])] if hi - lo <= ctx.atol else [np.array([lo]), np.array([hi])]
         verts = _hrep_vertices_2d(self.constraints, ctx)
         if verts is None:
             raise EmptySetError("vertex enumeration of an empty polyhedron")
@@ -718,10 +718,6 @@ class HPolyhedron(ConcreteSet):
 
 class HPolytope(HPolyhedron):
     """H-representation polytope; carries the promise of boundedness."""
-
-
-def approx_scalar(a: float, b: float, ctx: ToleranceContext) -> bool:
-    return abs(a - b) <= ctx.atol
 
 
 def _point_constraints_2d(p: np.ndarray) -> list[HalfSpace]:

@@ -90,6 +90,11 @@ def test_doc_roundtrip_structural_equality():
             {"normal": [1.0], "offset": 1.0}, {"normal": [-1.0], "offset": 0.0}]},
         {"set": "VPolytope", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 1]]},
         POLYGON_DOC,
+        {"set": "Hyperplane", "normal": [0.0, 1.0], "offset": -2.0},
+        {"set": "HPolyhedron", "constraints": [
+            {"normal": [1.0, 0.0], "offset": 1.0}, {"normal": [0.0, 1.0], "offset": 2.0}]},
+        {"op": "AffineMap", "matrix": [[1.0, 2.0], [0.0, 1.0]], "vector": [0.5, -0.5],
+         "args": [{"set": "BallInf", "center": [0.0, 1.0], "radius": 0.5}]},
     ):
         X = parse_doc(json.dumps(doc))
         assert parse_doc(serialize_doc(X)) == X
