@@ -118,17 +118,17 @@ def serialize_node(X) -> dict:
     out = {"set": kind}
     for key in _SET_FIELDS[kind][1]:
         value = getattr(X, key)
-        if key == "constraints":
-            value = [{"normal": c.normal.tolist(), "offset": c.offset} for c in value]
-        out[key] = np.asarray(value).tolist()
+        out[key] = (
+            [{"normal": c.normal.tolist(), "offset": c.offset} for c in value]
+            if key == "constraints"
+            else np.asarray(value).tolist()
+        )
     return out
 
 
 def serialize_doc(X) -> str:
     """Document text (with version field) for a set or expression tree."""
-    body = serialize_node(X)
-    body = {"version": DOC_VERSION, **body}
-    return json.dumps(body)
+    return json.dumps({"version": DOC_VERSION, **serialize_node(X)})
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +273,16 @@ def cmd_check(args) -> int:
             verdict = sets.membership(point, lazyops.concretize(tree_a))
     else:
         tree_b = _load_doc(args.doc2)
-        a = lazyops.concretize(tree_a)
-        b = lazyops.concretize(tree_b)
-        if args.relation == "subset":
-            verdict = concrete_ops.is_subset(a, b)
-        elif args.relation == "disjoint":
-            verdict = concrete_ops.is_disjoint(a, b)
-        else:
-            verdict = concrete_ops.is_equivalent(a, b)
+        relation = getattr(concrete_ops, f"is_{args.relation}")
+        verdict = relation(lazyops.concretize(tree_a), lazyops.concretize(tree_b))
     print("true" if verdict else "false")
     return EXIT_OK
 
 
 def cmd_concretize(args) -> int:
-    tree = _load_doc(args.doc)
-    concrete = lazyops.concretize(tree)
-    if args.format == "csv":
-        _write_out(_csv(concrete.vertices_list()), args.out)
-    else:
-        _write_out(serialize_doc(concrete) + "\n", args.out)
+    concrete = lazyops.concretize(_load_doc(args.doc))
+    text = _csv(concrete.vertices_list()) if args.format == "csv" else serialize_doc(concrete) + "\n"
+    _write_out(text, args.out)
     return EXIT_OK
 
 

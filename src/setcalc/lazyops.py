@@ -101,12 +101,13 @@ class LazyNode(ConvexSet):
         return _fold(self, lambda leaf: 1, lambda node, counts: sum(counts))
 
 
-def _fold(root, leaf, combine, operands=lambda X: X.operands):
+def _fold(root, leaf, combine, operands=lambda X: X.operands, values=None):
     """Value of ``root`` from its leaves up, without recursion: ``leaf(X)``
     values a concrete set, ``combine(node, values)`` a lazy node from the
     values of ``operands(node)``, which are visited left to right.  Shared
-    nodes are valued once (linear on DAGs)."""
-    values = {}
+    nodes are valued once (linear on DAGs); passing the same ``values`` dict
+    to folds with the same rules shares that memo between them."""
+    values = {} if values is None else values
     stack = [root]
     while stack:
         X = stack.pop()
@@ -513,36 +514,45 @@ def _intersection_hrep_2d(X, ctx) -> HPolyhedron:
 def concretize(T: ConvexSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
     """Evaluate a lazy tree into a concrete set.
 
-    Trees of box and zonotope leaves under zonotope-preserving kinds
-    collapse in closed form (any dimension).  Any other tree is built in one
-    bottom-up pass: 2-D nodes as polygons from their operands' values, other
-    nodes in closed form where their operands are zonotopes.  Everything
-    else raises.
+    A subtree of box and zonotope leaves under zonotope-preserving kinds
+    collapses in closed form, in any dimension: the whole tree when it is
+    such a subtree, and else every node of a dimension other than 2.  The
+    2-D nodes of any other tree are built as polygons from their operands'
+    values in one bottom-up pass.  Everything else raises.
     """
     ctx = resolve_tolerance(ctx)
     if not isinstance(T, (ConcreteSet, LazyNode)):
         raise TypeError(f"expected a set, got {type(T).__name__}")
-    zonotopal = _fold(T, lambda leaf: isinstance(leaf, (AbstractHyperrectangle, Zonotope)),
-                      lambda X, flags: _KINDS[X.kind].zonotope is not None and all(flags))
+    flags, zonotopes = {}, {}  # memos shared by every closed-form subtree
+
+    def closed_form(X):
+        # X as a zonotope, or None where its subtree is not zonotopal throughout.
+        zonotopal = _fold(X, lambda leaf: isinstance(leaf, (AbstractHyperrectangle, Zonotope)),
+                          lambda Y, fs: _KINDS[Y.kind].zonotope is not None and all(fs), values=flags)
+        if not zonotopal:
+            return None
+        return _fold(X, concrete_ops._as_zonotope, lambda Y, zs: _KINDS[Y.kind].zonotope(Y, zs, ctx),
+                     values=zonotopes)
 
     def operands(X):
-        # The operands whose values X's rules read: none where X cannot use
-        # them, so that X raises before any of them is concretized.
+        # The operands whose values X's polygon rule reads; none for other
+        # nodes, which take the closed form or raise before anything below
+        # them is built.
         row = _KINDS[X.kind]
-        if row.zonotope is None and (row.lazy_operand or row.polygon is None or X.dim != 2):
-            return ()
-        return X.operands
+        return X.operands if X.dim == 2 and row.polygon is not None and not row.lazy_operand else ()
 
     def combine(X, values):
-        row = _KINDS[X.kind]
-        closed = row.zonotope is not None and (zonotopal or X.dim != 2)
-        if closed and all(isinstance(v, (AbstractHyperrectangle, Zonotope)) for v in values):
-            return row.zonotope(X, [concrete_ops._as_zonotope(v) for v in values], ctx)
-        if X.dim != 2 or row.polygon is None:
+        polygon = _KINDS[X.kind].polygon
+        if X.dim != 2:
+            value = closed_form(X)
+        else:
+            value = None if polygon is None else polygon(X, values, ctx)
+        if value is None:
             raise UnsupportedOperationError(
                 f"cannot concretize lazy kind {X.kind!r} in dimension {X.dim}: outside both "
                 "the zonotope-preserving and the 2-D polygon fragments"
             )
-        return row.polygon(X, values, ctx)
+        return value
 
-    return _fold(T, lambda leaf: leaf, combine, operands)
+    value = closed_form(T) if type(T) is LazyNode else T
+    return value if value is not None else _fold(T, lambda leaf: leaf, combine, operands)

@@ -228,6 +228,58 @@ def test_concretize_matches_recursive_reference_on_zonotopal_trees():
         assert _assert_same_concretization(tree, D) in ("Zonotope", "Hyperrectangle", "BallInf")
 
 
+def _mixed_tree(rng, depth):
+    """A 2-D tree whose lazy 2-D and 1-D subtrees sit under a 3-D or 1-D
+    node: a 2x3 map of a 3-D product, or a 2-D product over a 1x2 map.  The
+    subtrees are zonotopal throughout or not; the polygon leaf keeps the
+    whole tree off the closed form."""
+    left = _tree_nd(rng, 2, depth) if rng.random() < 0.6 else _tree_2d(rng, depth)
+    right = _tree_nd(rng, 1, depth) if rng.random() < 0.7 else _tree_1d(rng, depth)
+    if rng.random() < 0.5:
+        inner = make_node("CartesianProduct", [left, right])
+        if rng.random() < 0.5:
+            inner = make_node("Translation", [inner], vector=rng.uniform(-1, 1, 3))
+        mixed = make_node("LinearMap", [inner], matrix=rng.uniform(-1, 1, (2, 3)))
+    else:
+        mapped = make_node("LinearMap", [left], matrix=rng.uniform(-1, 1, (1, 2)))
+        mixed = make_node("CartesianProduct", [mapped, right])
+    return make_node("MinkowskiSum", [random_polygon(rng, scale=1.5, max_points=6), mixed]), mixed
+
+
+def test_concretize_matches_recursive_reference_under_non_2d_nodes():
+    rng = np.random.default_rng(4005)
+    routes = {}
+    for _ in range(200):
+        tree, mixed = _mixed_tree(rng, int(rng.integers(1, 4)))
+        route = _assert_same_concretization(tree, POLAR)
+        routes[route] = routes.get(route, 0) + 1
+        if mixed.operands[0].dim == 3:
+            _assert_same_concretization(mixed.operands[0], rng.normal(size=(16, 3)))
+    assert routes.get("VPolygon", 0) >= 60 and routes.get("raised", 0) >= 20, routes
+
+
+def test_zonotopal_subtree_under_3d_product_concretizes():
+    P = sc.VPolygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    box = sc.Hyperrectangle([0.0, 0.0], [1.0, 2.0])
+    product = make_node("CartesianProduct", [make_node("Translation", [box], vector=[1.0, 1.0]), sc.Interval(0.0, 1.0)])
+    tree = make_node("MinkowskiSum", [P, make_node("LinearMap", [product], matrix=[[1, 0, 0], [0, 1, 1]])])
+    assert _assert_same_concretization(tree, POLAR) == "VPolygon"
+    mapped = make_node("LinearMap", [make_node("Translation", [box], vector=[1.0, 1.0])], matrix=[[1.0, 2.0]])
+    tree = make_node("MinkowskiSum", [P, make_node("CartesianProduct", [mapped, sc.Interval(0.0, 1.0)])])
+    assert _assert_same_concretization(tree, POLAR) == "VPolygon"
+
+
+def test_non_zonotopal_subtree_under_3d_product_raises_unsupported():
+    # An unbounded 2-D intersection under a 3-D product: the product has no
+    # closed form, so it raises before the intersection is built.
+    region = make_node("Intersection", [sc.HalfSpace([1.0, 0.0], 1.0), sc.HalfSpace([0.0, 1.0], 1.0)])
+    tree = make_node("CartesianProduct", [make_node("Translation", [region], vector=[1.0, 1.0]), sc.Interval(0.0, 1.0)])
+    with pytest.raises(UnsupportedOperationError):
+        concretize(tree)
+    with pytest.raises(UnsupportedOperationError):
+        reference_concretize(tree)
+
+
 def test_membership_matches_recursive_reference():
     rng = np.random.default_rng(4004)
     tally = {True: 0, False: 0, "raised": 0}
