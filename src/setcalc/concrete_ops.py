@@ -393,10 +393,9 @@ def is_subset(X: ConvexSet, Y: ConcreteSet, ctx: ToleranceContext | None = None)
     """X within Y, decided by support of X against every constraint of Y."""
     ctx = resolve_tolerance(ctx)
     _require_same_dim(X, Y)
-    for c in Y.constraints_list(ctx):
-        if X.support_function(c.normal, ctx) > c.offset + ctx.atol:
-            return False
-    return True
+    constraints = Y.constraints_list(ctx)
+    values, _ = X.support_batch(np.array([c.normal for c in constraints]).reshape(-1, X.dim), ctx)
+    return bool(np.all(values <= np.array([c.offset for c in constraints]) + ctx.atol))
 
 
 def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
@@ -413,9 +412,7 @@ def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = N
         minimum = -Y.support_function(-X.normal, ctx)
         return minimum > X.offset + ctx.atol
     if _has_constraints(X) and _has_constraints(Y):
-        joint = [(c.normal, c.offset) for c in X.constraints_list(ctx)]
-        joint += [(c.normal, c.offset) for c in Y.constraints_list(ctx)]
-        return not is_feasible(joint, ctx)
+        return is_empty(HPolyhedron(X.constraints_list(ctx) + Y.constraints_list(ctx), dim=X.dim), ctx)
     raise UnsupportedOperationError(
         f"is_disjoint is not implemented for {type(X).__name__} and {type(Y).__name__}"
     )

@@ -7,12 +7,7 @@ two are not implemented and raise.
 
 from __future__ import annotations
 
-from .errors import (
-    DegeneratePolygonError,
-    EmptySetError,
-    UnboundedSetError,
-    UnsupportedOperationError,
-)
+from .errors import UnsupportedOperationError
 from .numerics import ToleranceContext, resolve_tolerance
 from .sets import (
     AbstractHyperrectangle,
@@ -22,26 +17,17 @@ from .sets import (
     Interval,
     VPolygon,
     Zonotope,
-    _hrep_vertices_2d,
-    _normals_bound_2d,
 )
-from .concrete_ops import _as_zonotope, cartesian_product, is_empty
+from .concrete_ops import _as_zonotope, _to_polygon, cartesian_product
 
 
 def tohrep(X: ConcreteSet, ctx: ToleranceContext | None = None) -> HPolytope:
     """H-representation of a bounded 2-D polytopic set (edge normals)."""
-    ctx = resolve_tolerance(ctx)
     if X.dim != 2:
         raise UnsupportedOperationError("tohrep is only implemented in dimension 2")
     if isinstance(X, HPolytope):
         return X
-    polygon = X if isinstance(X, VPolygon) else VPolygon(X.vertices_list(ctx))
-    if polygon.num_vertices < 3:
-        raise DegeneratePolygonError(
-            f"cannot build an H-representation from {polygon.num_vertices} "
-            "vertices: the polygon is degenerate (all points collinear)"
-        )
-    return HPolytope(polygon.constraints_list(ctx))
+    return HPolytope(_to_polygon(X, ctx).constraints_list(ctx))
 
 
 def tovrep(X: HPolytope, ctx: ToleranceContext | None = None) -> VPolygon:
@@ -50,17 +36,9 @@ def tovrep(X: HPolytope, ctx: ToleranceContext | None = None) -> VPolygon:
     Vertices come from pairwise constraint intersections filtered by
     feasibility, so redundant constraints are harmless.
     """
-    ctx = resolve_tolerance(ctx)
     if X.dim != 2:
         raise UnsupportedOperationError("tovrep is only implemented in dimension 2")
-    if is_empty(X, ctx):
-        raise EmptySetError("tovrep of an empty polytope")
-    if not _normals_bound_2d(X.constraints):
-        raise UnboundedSetError("tovrep of an unbounded region")
-    vertices = _hrep_vertices_2d(X.constraints, ctx)
-    if vertices is None:
-        raise EmptySetError("tovrep of an empty polytope")
-    return VPolygon(vertices)
+    return VPolygon(X.vertices_list(ctx))
 
 
 def convert_to(target: type, X, ctx: ToleranceContext | None = None) -> ConcreteSet:
@@ -102,12 +80,8 @@ def convert_to(target: type, X, ctx: ToleranceContext | None = None) -> Concrete
         if isinstance(X, VPolygon):
             return tohrep(X, ctx)
     elif target is VPolygon:
-        if isinstance(X, VPolygon):
-            return X
-        if isinstance(X, (AbstractHyperrectangle, Zonotope)) and X.dim == 2:
-            return VPolygon(X.vertices_list(ctx))
-        if isinstance(X, HPolytope) and X.dim == 2:
-            return tovrep(X, ctx)
+        if isinstance(X, (VPolygon, AbstractHyperrectangle, Zonotope, HPolytope)):
+            return _to_polygon(X, ctx)
     elif target is Interval:
         if isinstance(X, AbstractHyperrectangle) and X.dim == 1:
             return Interval(float(X.low[0]), float(X.high[0]))

@@ -69,8 +69,18 @@ class LazyNode(ConvexSet):
         return self._dim
 
     def __repr__(self):
-        inner = ", ".join(repr(op) for op in self.operands)
-        return f"LazyNode({self.kind!r}, [{inner}])"
+        # A node's text is a (head, operand texts) pair that holds the operand
+        # texts by reference, so deep chains cost linear time and memory; the
+        # pieces are joined once, in order, by an explicit stack.
+        out, stack = [], [_fold(self, repr, lambda node, inner: (f"LazyNode({node.kind!r}, [", inner))]
+        while stack:
+            piece = stack.pop()
+            if isinstance(piece, str):
+                out.append(piece)
+            else:
+                out.append(piece[0])
+                stack += ["])", *[s for text in reversed(piece[1]) for s in (", ", text)][1:]]
+        return "".join(out)
 
     def __eq__(self, other):
         if not isinstance(other, LazyNode) or self.kind != other.kind:

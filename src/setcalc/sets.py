@@ -172,21 +172,6 @@ class ConvexSet(ABC):
         return _as_direction(d, self.dim)
 
 
-def _flat_support(X, D, ctx, vectors, what: str, one_sided: bool):
-    # Half-spaces and hyperplanes are bounded only along d = lam * normal
-    # (lam >= 0 for a half-space), where rho(d) = lam * offset.
-    ctx = resolve_tolerance(ctx)
-    lam = D.dot(X.normal) / float(X.normal @ X.normal)
-    scale = np.maximum(1.0, np.abs(D).max(axis=1))
-    bounded = np.abs(D - lam[:, None] * X.normal).max(axis=1) <= ctx.ztol * scale
-    if one_sided:
-        bounded &= lam >= -ctx.ztol
-    if vectors and not bounded.all():
-        raise UnboundedSetError(f"{what} is unbounded in this direction")
-    values = np.where(bounded, lam * X.offset, math.inf)
-    return values, (np.tile(X.an_element(), (len(D), 1)) if vectors else None)
-
-
 def _vertex_support(vertices: np.ndarray, D: np.ndarray, vectors: bool):
     # First maximizing vertex per direction.
     S = D.dot(vertices.T)
@@ -194,7 +179,15 @@ def _vertex_support(vertices: np.ndarray, D: np.ndarray, vectors: bool):
 
 
 class ConcreteSet(ConvexSet):
-    """Base class of all non-lazy set representations."""
+    """Base class of all non-lazy set representations.
+
+    Values are immutable: the constructor sets each field once.
+    """
+
+    def __setattr__(self, name, value):
+        if name in self.__dict__:
+            raise AttributeError(f"{type(self).__name__} is immutable")
+        object.__setattr__(self, name, value)
 
     def vertices_list(self, ctx: ToleranceContext | None = None) -> list[np.ndarray]:
         raise UnsupportedOperationError(
@@ -227,27 +220,31 @@ class ConcreteSet(ConvexSet):
         )
 
 
-class HalfSpace(ConcreteSet):
-    """The region ``{x : normal . x <= offset}``."""
+class _FlatSet(ConcreteSet):
+    """A region given by a nonzero normal and an offset, shared by half-spaces
+    and hyperplanes.  Subclasses set ``_name`` (used in messages) and whether
+    the region is ``_one_sided``."""
+
+    _name: str
+    _one_sided: bool
 
     def __init__(self, normal, offset):
         self.normal = _as_vector(normal, name="normal")
         self.offset = float(offset)
         ztol = resolve_tolerance(None).ztol
-        if np.max(np.abs(self.normal)) <= ztol:
-            raise ValueError("half-space normal must be nonzero")
+        if np.abs(self.normal).max() <= ztol:
+            raise ValueError(f"{self._name} normal must be nonzero")
 
     @property
     def dim(self) -> int:
         return self.normal.size
 
     def __repr__(self):
-        return f"HalfSpace({self.normal.tolist()}, {self.offset})"
+        return f"{type(self).__name__}({self.normal.tolist()}, {self.offset})"
 
     def __eq__(self, other):
         return (
-            isinstance(other, HalfSpace)
-            and type(other) is type(self)
+            type(other) is type(self)
             and np.array_equal(self.normal, other.normal)
             and self.offset == other.offset
         )
@@ -255,7 +252,31 @@ class HalfSpace(ConcreteSet):
     __hash__ = None
 
     def _support_batch(self, D, ctx, vectors):
-        return _flat_support(self, D, ctx, vectors, "half-space", one_sided=True)
+        # Bounded only along d = lam * normal (lam >= 0 when one-sided),
+        # where rho(d) = lam * offset.
+        ctx = resolve_tolerance(ctx)
+        lam = D.dot(self.normal) / float(self.normal @ self.normal)
+        scale = np.maximum(1.0, np.abs(D).max(axis=1))
+        bounded = np.abs(D - lam[:, None] * self.normal).max(axis=1) <= ctx.ztol * scale
+        if self._one_sided:
+            bounded &= lam >= -ctx.ztol
+        if vectors and not bounded.all():
+            raise UnboundedSetError(f"{self._name} is unbounded in this direction")
+        values = np.where(bounded, lam * self.offset, math.inf)
+        return values, (np.tile(self.an_element(), (len(D), 1)) if vectors else None)
+
+    def an_element(self, ctx=None) -> np.ndarray:
+        return self.normal * (self.offset / float(self.normal @ self.normal))
+
+    def translate(self, v):
+        v = _as_vector(v, self.dim, "shift")
+        return type(self)(self.normal, self.offset + float(self.normal @ v))
+
+
+class HalfSpace(_FlatSet):
+    """The region ``{x : normal . x <= offset}``."""
+
+    _name, _one_sided = "half-space", True
 
     def contains(self, x, ctx=None) -> bool:
         ctx = resolve_tolerance(ctx)
@@ -268,42 +289,11 @@ class HalfSpace(ConcreteSet):
     def is_bounded(self, ctx=None) -> bool:
         return False
 
-    def an_element(self, ctx=None) -> np.ndarray:
-        return self.normal * (self.offset / float(self.normal @ self.normal))
 
-    def translate(self, v) -> "HalfSpace":
-        v = _as_vector(v, self.dim, "shift")
-        return HalfSpace(self.normal, self.offset + float(self.normal @ v))
-
-
-class Hyperplane(ConcreteSet):
+class Hyperplane(_FlatSet):
     """The region ``{x : normal . x = offset}``."""
 
-    def __init__(self, normal, offset):
-        self.normal = _as_vector(normal, name="normal")
-        self.offset = float(offset)
-        ztol = resolve_tolerance(None).ztol
-        if np.max(np.abs(self.normal)) <= ztol:
-            raise ValueError("hyperplane normal must be nonzero")
-
-    @property
-    def dim(self) -> int:
-        return self.normal.size
-
-    def __repr__(self):
-        return f"Hyperplane({self.normal.tolist()}, {self.offset})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Hyperplane)
-            and np.array_equal(self.normal, other.normal)
-            and self.offset == other.offset
-        )
-
-    __hash__ = None
-
-    def _support_batch(self, D, ctx, vectors):
-        return _flat_support(self, D, ctx, vectors, "hyperplane", one_sided=False)
+    _name, _one_sided = "hyperplane", False
 
     def contains(self, x, ctx=None) -> bool:
         ctx = resolve_tolerance(ctx)
@@ -315,13 +305,6 @@ class Hyperplane(ConcreteSet):
 
     def is_bounded(self, ctx=None) -> bool:
         return self.dim == 1
-
-    def an_element(self, ctx=None) -> np.ndarray:
-        return self.normal * (self.offset / float(self.normal @ self.normal))
-
-    def translate(self, v) -> "Hyperplane":
-        v = _as_vector(v, self.dim, "shift")
-        return Hyperplane(self.normal, self.offset + float(self.normal @ v))
 
 
 class AbstractHyperrectangle(ConcreteSet):
@@ -637,33 +620,21 @@ class HPolyhedron(ConcreteSet):
         return [(c.normal, c.offset) for c in self.constraints]
 
     def _support_batch(self, D, ctx, vectors):
-        # One scalar query per row, so LP counts stay per direction.
-        values = np.array([self.support_function(d, ctx) for d in D]).reshape(len(D))
-        return values, (np.array([self.support_vector(d, ctx) for d in D]).reshape(D.shape) if vectors else None)
-
-    def support_function(self, d, ctx=None) -> float:
+        # One LP per direction yields both the value and the maximizer.
         ctx = resolve_tolerance(ctx)
-        d = self._check_direction(d)
-        if not self.constraints:
-            return 0.0 if np.all(np.abs(d) <= ctx.ztol) else math.inf
-        outcome = solve_lp(LinearProgram(d, self._lp_constraints()), ctx)
-        if outcome.status is LpStatus.UNBOUNDED:
-            return math.inf
-        if outcome.status is LpStatus.INFEASIBLE:
-            raise EmptySetError("support function of an empty polyhedron")
-        return outcome.optimum
-
-    def support_vector(self, d, ctx=None) -> np.ndarray:
-        ctx = resolve_tolerance(ctx)
-        d = self._check_direction(d)
-        if not self.constraints:
-            raise UnboundedSetError("polyhedron is unbounded in this direction")
-        outcome = solve_lp(LinearProgram(d, self._lp_constraints()), ctx)
-        if outcome.status is LpStatus.UNBOUNDED:
-            raise UnboundedSetError("polyhedron is unbounded in this direction")
-        if outcome.status is LpStatus.INFEASIBLE:
-            raise EmptySetError("support vector of an empty polyhedron")
-        return outcome.optimizer
+        constraints = self._lp_constraints()
+        values, points = np.empty(len(D)), np.empty(D.shape)
+        for i, d in enumerate(D):
+            outcome = solve_lp(LinearProgram(d, constraints), ctx)
+            if outcome.status is LpStatus.INFEASIBLE:
+                raise EmptySetError("support query on an empty polyhedron")
+            if outcome.status is LpStatus.UNBOUNDED:
+                if vectors:
+                    raise UnboundedSetError("polyhedron is unbounded in this direction")
+                values[i] = math.inf
+            else:
+                values[i], points[i] = outcome.optimum, outcome.optimizer
+        return values, (points if vectors else None)
 
     def contains(self, x, ctx=None) -> bool:
         ctx = resolve_tolerance(ctx)
@@ -828,26 +799,21 @@ class VPolygon(ConcreteSet):
         return _vertex_support(self.vertices, D, vectors)
 
     def contains(self, x, ctx=None) -> bool:
+        # atol is a distance: from the segment when there are one or two
+        # vertices, else from each edge's line (the cross product over the
+        # edge length).  Python floats: k is small and most calls exit early.
         ctx = resolve_tolerance(ctx)
-        x = _as_vector(x, 2, "point")
-        k = self.num_vertices
-        if k == 0:
+        px, py = _as_vector(x, 2, "point").tolist()
+        V = self.vertices.tolist()
+        if not V:
             return False
-        if k == 1:
-            return bool(np.all(np.abs(x - self.vertices[0]) <= ctx.atol))
-        if k == 2:
-            a, b = self.vertices
-            edge = b - a
-            cross = edge[0] * (x[1] - a[1]) - edge[1] * (x[0] - a[0])
-            if abs(cross) > ctx.atol * max(1.0, float(np.max(np.abs(edge)))):
-                return False
-            t = float((x - a) @ edge) / float(edge @ edge)
-            return -ctx.atol <= t <= 1.0 + ctx.atol
-        for i in range(k):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % k]
-            cross = (b[0] - a[0]) * (x[1] - a[1]) - (b[1] - a[1]) * (x[0] - a[0])
-            if cross < -ctx.atol:
+        if len(V) <= 2:
+            (ax, ay), (bx, by) = V[0], V[-1]
+            ex, ey = bx - ax, by - ay
+            t = min(1.0, max(0.0, ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey))) if len(V) == 2 else 0.0
+            return math.hypot(px - ax - t * ex, py - ay - t * ey) <= ctx.atol
+        for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
+            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -ctx.atol * math.hypot(bx - ax, by - ay):
                 return False
         return True
 

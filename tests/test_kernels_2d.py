@@ -171,3 +171,38 @@ def test_concretize_empty_2d_intersection():
 
 def test_small_triangle_keeps_its_vertices():
     assert sc.VPolygon([[0.0, 0.0], [1e-4, 0.0], [0.0, 1e-4]]).num_vertices == 3
+
+
+def test_tovrep_matches_stepwise_reference_on_random_hreps():
+    # tovrep's outcome spelled out: an emptiness LP, the normals' angular
+    # gaps for boundedness, then the pairwise H-to-V reference.
+    ctx = resolve_tolerance(None)
+    rng = np.random.default_rng(77)
+    seen = set()
+    for _ in range(400):
+        constraints = _random_hrep(rng, int(rng.integers(1, 40)))
+        if not setcalc.numerics.is_feasible([(c.normal, c.offset) for c in constraints], ctx):
+            expected = EmptySetError
+        elif not setcalc.sets._normals_bound_2d(constraints):
+            expected = UnboundedSetError
+        else:
+            vertices = reference_hrep_vertices_2d(constraints, ctx)
+            expected = EmptySetError if vertices is None else sc.VPolygon(vertices)
+        seen.add(expected if isinstance(expected, type) else sc.VPolygon)
+        if isinstance(expected, sc.VPolygon):
+            assert sc.tovrep(sc.HPolytope(constraints)) == expected
+        else:
+            with pytest.raises(expected):
+                sc.tovrep(sc.HPolytope(constraints))
+    assert seen == {sc.VPolygon, EmptySetError, UnboundedSetError}
+
+
+def test_hpolytope_support_vectors_solve_one_lp_per_direction(lp_calls):
+    angles = np.arange(8) * (math.pi / 4.0)
+    octagon = sc.tohrep(sc.VPolygon(np.column_stack((np.cos(angles), np.sin(angles)))))
+    inner = sc.underapproximate(octagon, sc.generate_directions(sc.polar_template(8)))
+    assert len(lp_calls) == 8
+    assert inner.num_vertices == 8
+    values, vectors = octagon.support_batch(np.eye(2), vectors=True)
+    assert len(lp_calls) == 10
+    assert np.allclose(np.einsum("ij,ij->i", vectors, np.eye(2)), values)

@@ -354,3 +354,18 @@ def test_shared_union_tree_answers_membership_in_linear_time():
     seconds, verdict = _best_seconds(lambda: lazy_membership([5.0, 5.0], tree))
     assert seconds < 0.05 and verdict is False
     assert lazy_membership(X.vertices[1] + 20 * v, tree)
+
+
+def test_repr_text_and_deep_chain():
+    box = sc.BallInf([0.0, 0.0], 1.0)
+    mapped = make_node("LinearMap", [box], matrix=np.eye(2))
+    tree = make_node("MinkowskiSum", [mapped, make_node("ConvexHullUnion", [box, mapped])])
+    assert repr(tree) == (
+        "LazyNode('MinkowskiSum', [LazyNode('LinearMap', [BallInf([0.0, 0.0], 1.0)]), "
+        "LazyNode('ConvexHullUnion', [BallInf([0.0, 0.0], 1.0), "
+        "LazyNode('LinearMap', [BallInf([0.0, 0.0], 1.0)])])])"
+    )
+    chain = box
+    for _ in range(2000):
+        chain = make_node("Translation", [chain], vector=[1.0, 0.0])
+    assert repr(chain) == "LazyNode('Translation', [" * 2000 + "BallInf([0.0, 0.0], 1.0)" + "])" * 2000

@@ -330,3 +330,70 @@ def test_degenerate_polygon_membership():
     point = sc.VPolygon([[1, 2]])
     assert sc.membership([1.0, 2.0], point)
     assert not sc.membership([1.1, 2.0], point)
+
+
+def _subclasses(cls):
+    out, stack = [], [cls]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub.__module__.startswith("setcalc"):
+                out.append(sub)
+                stack.append(sub)
+    return out
+
+
+def test_only_convexset_defines_scalar_support():
+    # Every set answers scalar queries as a batch of one through _support_batch.
+    overriding = [
+        cls.__name__
+        for cls in _subclasses(sc.ConvexSet)
+        if "support_function" in vars(cls) or "support_vector" in vars(cls)
+    ]
+    assert overriding == []
+
+
+def test_concrete_sets_are_immutable():
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    samples = [
+        sc.HalfSpace([1.0, 0.0], 1.0),
+        sc.Hyperplane([1.0, 0.0], 1.0),
+        sc.Hyperrectangle([0.0, 0.0], [1.0, 2.0]),
+        sc.BallInf([0.0, 0.0], 1.0),
+        sc.Interval(0.0, 1.0),
+        sc.Zonotope([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+        sc.HPolyhedron([sc.HalfSpace([1.0, 0.0], 1.0)]),
+        sc.HPolytope(sc.BallInf([0.0, 0.0], 1.0).constraints_list()),
+        sc.VPolygon(square),
+        sc.VPolytope(square),
+    ]
+    concrete = {cls for cls in _subclasses(sc.ConcreteSet) if not cls.__name__.startswith(("_", "Abstract"))}
+    assert {type(X) for X in samples} == concrete
+    for X in samples:
+        before = repr(X)
+        assert vars(X)
+        for name in list(vars(X)):
+            with pytest.raises(AttributeError):
+                setattr(X, name, 5.0)
+        assert repr(X) == before
+
+
+def test_hyperplane_is_not_a_half_space():
+    P = sc.Hyperplane([1.0, 2.0], 3.0)
+    H = sc.HalfSpace([1.0, 2.0], 3.0)
+    assert not isinstance(P, sc.HalfSpace) and not isinstance(H, sc.Hyperplane)
+    assert P != H and H != P
+    assert type(P.translate([1.0, 0.0])) is sc.Hyperplane
+    assert P.translate([1.0, 0.0]) == sc.Hyperplane([1.0, 2.0], 4.0)
+    with pytest.raises(ValueError, match="hyperplane"):
+        sc.Hyperplane([0.0, 0.0], 1.0)
+    with pytest.raises(ValueError, match="half-space"):
+        sc.HalfSpace([0.0, 0.0], 1.0)
+
+
+def test_unconstrained_polyhedron_support():
+    H = sc.HPolyhedron([], dim=2)
+    assert H.support_function([0.0, 0.0]) == 0.0
+    assert H.support_vector([0.0, 0.0]).tolist() == [0.0, 0.0]
+    assert H.support_function([1.0, 0.0]) == math.inf
+    with pytest.raises(UnboundedSetError):
+        H.support_vector([1.0, 0.0])
