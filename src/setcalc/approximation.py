@@ -293,8 +293,8 @@ def overapproximate_zonotope(X: ConvexSet, directions, ctx: ToleranceContext | N
             "the candidate directions cannot reproduce the vertex offsets"
         )
     alphas = outcome.optimizer[:m]
-    columns = [alphas[j] * directions[j] for j in range(m) if alphas[j] > ctx.ztol]
-    G = np.array(columns).T if columns else np.zeros((n, 0))
+    # Generators no longer than atol are dropped.
+    G = (np.array(directions).T * alphas)[:, alphas * np.linalg.norm(directions, axis=1) > ctx.atol]
     return Zonotope(center, G)
 
 

@@ -344,10 +344,7 @@ def main(argv=None) -> int:
     env_atol = os.environ.get("SETCALC_TOLERANCE_ATOL")
     if env_atol is not None:
         try:
-            base = default_tolerance()
-            set_default_tolerance(
-                ToleranceContext(atol=float(env_atol), rtol=base.rtol, ztol=base.ztol)
-            )
+            set_default_tolerance(ToleranceContext(atol=float(env_atol)))
         except ValueError:
             print(f"error: bad SETCALC_TOLERANCE_ATOL {env_atol!r}", file=sys.stderr)
             return EXIT_BAD_ARGS

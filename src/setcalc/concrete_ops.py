@@ -4,7 +4,7 @@ Operations are implemented per representation pair; anything outside the
 supported pairs raises ``UnsupportedOperationError`` (the lazy layer is the
 fallback for those).  Predicates follow closed-set semantics: sets touching
 in a single boundary point are not disjoint, and inclusion tolerates the
-context's ``atol``.
+context's ``atol`` as a distance from each half-space (:func:`numerics.within`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptySetError, UnsupportedOperationError
-from .numerics import ToleranceContext, is_feasible, resolve_tolerance
+from .numerics import ToleranceContext, is_feasible, resolve_tolerance, within
 from .sets import (
     AbstractHyperrectangle,
     ConcreteSet,
@@ -180,7 +180,6 @@ def intersection(
     back to constraint concatenation.  ``prune`` removes redundant
     constraints of the concatenated result (one LP per constraint).
     """
-    ctx = resolve_tolerance(ctx)
     _require_same_dim(X, Y)
 
     if isinstance(X, HalfSpace) and not isinstance(Y, HalfSpace):
@@ -224,25 +223,25 @@ def _has_constraints(X: ConcreteSet) -> bool:
 
 
 def _clip_polygon(vertices: np.ndarray, normal: np.ndarray, offset: float, ctx) -> list:
-    # Single half-plane Sutherland-Hodgman pass.
+    # Single half-plane Sutherland-Hodgman pass: keep vertices within atol of
+    # the half-plane, cut edges that run from deeper than atol to beyond it.
+    f = vertices.dot(normal) - offset
+    keep = within(f, 0.0, normal, ctx)
+    deep = ~within(-f, 0.0, normal, ctx)
     out = []
     k = len(vertices)
     for i in range(k):
-        p = vertices[i]
-        q = vertices[(i + 1) % k]
-        fp = float(normal @ p) - offset
-        fq = float(normal @ q) - offset
-        if fp <= ctx.atol:
-            out.append(p)
-        if (fp < -ctx.atol and fq > ctx.atol) or (fp > ctx.atol and fq < -ctx.atol):
-            t = fp / (fp - fq)
-            out.append(p + t * (q - p))
+        j = (i + 1) % k
+        if keep[i]:
+            out.append(vertices[i])
+        if (deep[i] and not keep[j]) or (not keep[i] and deep[j]):
+            t = f[i] / (f[i] - f[j])
+            out.append(vertices[i] + t * (vertices[j] - vertices[i]))
     return out
 
 
 def remove_redundant_constraints(constraints, ctx: ToleranceContext | None = None) -> list[HalfSpace]:
     """Drop constraints implied by the others (one support LP each)."""
-    ctx = resolve_tolerance(ctx)
     kept = list(constraints)
     i = 0
     while i < len(kept):
@@ -254,7 +253,7 @@ def remove_redundant_constraints(constraints, ctx: ToleranceContext | None = Non
             value = probe.support_function(kept[i].normal, ctx)
         except EmptySetError:
             value = -math.inf  # the others alone are already infeasible
-        if value <= kept[i].offset + ctx.atol:
+        if within(value, kept[i].offset, kept[i].normal, ctx):
             kept = rest
         else:
             i += 1
@@ -391,11 +390,11 @@ def is_empty(X: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
 
 def is_subset(X: ConvexSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
     """X within Y, decided by support of X against every constraint of Y."""
-    ctx = resolve_tolerance(ctx)
     _require_same_dim(X, Y)
     constraints = Y.constraints_list(ctx)
-    values, _ = X.support_batch(np.array([c.normal for c in constraints]).reshape(-1, X.dim), ctx)
-    return bool(np.all(values <= np.array([c.offset for c in constraints]) + ctx.atol))
+    A = np.array([c.normal for c in constraints]).reshape(-1, X.dim)
+    values, _ = X.support_batch(A, ctx)
+    return bool(np.all(within(values, np.array([c.offset for c in constraints]), A, ctx)))
 
 
 def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
@@ -410,7 +409,7 @@ def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = N
     if isinstance(X, HalfSpace):
         # X = {a.x <= b} misses Y iff the minimum of a.x over Y exceeds b.
         minimum = -Y.support_function(-X.normal, ctx)
-        return minimum > X.offset + ctx.atol
+        return not within(minimum, X.offset, X.normal, ctx)
     if _has_constraints(X) and _has_constraints(Y):
         return is_empty(HPolyhedron(X.constraints_list(ctx) + Y.constraints_list(ctx), dim=X.dim), ctx)
     raise UnsupportedOperationError(

@@ -272,9 +272,16 @@ def _affine(X, D, results, want, ctx):
 
 
 def _interval_hull(X, D, results, want, ctx):
+    # An infinite radius counts only where the direction weights it (0 * inf = 0).
     extents = np.abs(results[0][0])
     radius = np.maximum(extents[: X.dim], extents[X.dim :])
-    return np.abs(D).dot(radius), (_sign_plus(D) * radius if want else None)
+    finite = np.isfinite(radius)
+    radius = np.where(finite, radius, 0.0)
+    values = np.abs(D).dot(radius)
+    values[np.any(D[:, ~finite] != 0.0, axis=1)] = np.inf
+    if want and not np.all(np.isfinite(values)):
+        raise UnboundedSetError("symmetric interval hull is unbounded in this direction")
+    return values, (_sign_plus(D) * radius if want else None)
 
 
 def _intersection_2d(X, D, results, want, ctx):

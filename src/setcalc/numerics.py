@@ -1,8 +1,9 @@
 """Floating-point comparison policy and a dense two-phase simplex LP solver.
 
-Every approximate comparison in the library goes through a
-:class:`ToleranceContext`.  A process-wide immutable default is installed at
-import time; callers either pass a context explicitly or rely on the default.
+Every approximate comparison in the library reads ``atol``, a distance, from a
+:class:`ToleranceContext`; every half-space slack test goes through
+:func:`within`.  A process-wide immutable default is installed at import time;
+callers either pass a context explicitly or rely on the default.
 The solver handles ``max c.x  s.t.  A x <= b`` with free variables, which is
 the only LP shape the geometry needs (emptiness checks, polyhedral support
 values, zonotope membership, zonotope fitting).
@@ -18,29 +19,28 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
-# Pivot threshold of the simplex tableau; unrelated to user-facing tolerances.
-_PIVOT_EPS = 1e-10
+# Unitless thresholds, unrelated to atol.
+_PIVOT_EPS = 1e-10  # simplex pivots
+_PARALLEL_EPS = 1e-8  # a direction parallel to a flat set's normal
+_ZERO_OBJECTIVE_EPS = 1e-8  # an LP objective that is zero
 
 
 @dataclass(frozen=True)
 class ToleranceContext:
-    """Absolute / relative / zero-comparison tolerances.
+    """The absolute tolerance ``atol``, read as a Euclidean distance.
 
-    ``atol`` bounds |a - b| for generic comparisons, ``rtol`` adds a
-    magnitude-proportional term, and ``ztol`` replaces both when one side of
-    the comparison is exactly zero.  Instances are immutable.
+    A point within ``atol`` of a half-space (see :func:`within`), or of every
+    edge of a polygon, counts as its member; scalars within ``atol`` of each
+    other are equal.  Instances are immutable.
     """
 
     atol: float = 1e-8
-    rtol: float = 0.0
-    ztol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("atol", "rtol", "ztol"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-            object.__setattr__(self, name, value)
+        value = float(self.atol)
+        if not math.isfinite(value) or value < 0.0:
+            raise ValueError(f"atol must be finite and nonnegative, got {value!r}")
+        object.__setattr__(self, "atol", value)
 
 
 _DEFAULT_CONTEXT = ToleranceContext()
@@ -68,17 +68,19 @@ def resolve_tolerance(ctx: ToleranceContext | None) -> ToleranceContext:
 
 
 def approx_eq(a: float, b: float, ctx: ToleranceContext | None = None) -> bool:
-    """Tolerance-aware scalar equality.
+    """Tolerance-aware scalar equality: ``a == b`` or ``|a - b| <= atol``."""
+    return a == b or abs(a - b) <= resolve_tolerance(ctx).atol
 
-    Uses ``|a - b| <= atol + rtol * max(|a|, |b|)``; when either operand is
-    exactly zero the single threshold ``ztol`` applies instead.
+
+def within(values, offsets, normals, ctx: ToleranceContext | None = None):
+    """Elementwise ``values <= offsets + atol * norm(normals)``.
+
+    With ``values = normals . x`` this holds where x lies within ``atol`` of
+    the half-space ``normals . x <= offsets``, whatever the scale of the
+    normal.  ``normals`` is an array of one normal, or one normal per row,
+    broadcast against ``values`` and ``offsets``.
     """
-    ctx = resolve_tolerance(ctx)
-    if a == b:
-        return True
-    if a == 0.0 or b == 0.0:
-        return abs(a - b) <= ctx.ztol
-    return abs(a - b) <= ctx.atol + ctx.rtol * max(abs(a), abs(b))
+    return values <= offsets + resolve_tolerance(ctx).atol * np.sqrt((normals * normals).sum(axis=-1))
 
 
 class LpStatus(Enum):
@@ -175,7 +177,7 @@ def solve_lp(lp: LinearProgram, ctx: ToleranceContext | None = None) -> LpOutcom
     c = lp.objective
 
     if m == 0:
-        if np.all(np.abs(c) <= ctx.ztol):
+        if np.all(np.abs(c) <= _ZERO_OBJECTIVE_EPS):
             return LpOutcome(LpStatus.OPTIMAL, np.zeros(n), 0.0)
         return LpOutcome(LpStatus.UNBOUNDED)
 

@@ -28,6 +28,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .numerics import (
+    _PARALLEL_EPS,
     LinearProgram,
     LpStatus,
     ToleranceContext,
@@ -35,6 +36,7 @@ from .numerics import (
     feasible_point,
     resolve_tolerance,
     solve_lp,
+    within,
 )
 
 # Hard cap on the exponential vertex enumeration of boxes (2^n corners).
@@ -231,8 +233,7 @@ class _FlatSet(ConcreteSet):
     def __init__(self, normal, offset):
         self.normal = _as_vector(normal, name="normal")
         self.offset = float(offset)
-        ztol = resolve_tolerance(None).ztol
-        if np.abs(self.normal).max() <= ztol:
+        if not self.normal.any():
             raise ValueError(f"{self._name} normal must be nonzero")
 
     @property
@@ -254,16 +255,19 @@ class _FlatSet(ConcreteSet):
     def _support_batch(self, D, ctx, vectors):
         # Bounded only along d = lam * normal (lam >= 0 when one-sided),
         # where rho(d) = lam * offset.
-        ctx = resolve_tolerance(ctx)
         lam = D.dot(self.normal) / float(self.normal @ self.normal)
         scale = np.maximum(1.0, np.abs(D).max(axis=1))
-        bounded = np.abs(D - lam[:, None] * self.normal).max(axis=1) <= ctx.ztol * scale
+        bounded = np.abs(D - lam[:, None] * self.normal).max(axis=1) <= _PARALLEL_EPS * scale
         if self._one_sided:
-            bounded &= lam >= -ctx.ztol
+            bounded &= lam >= -_PARALLEL_EPS
         if vectors and not bounded.all():
             raise UnboundedSetError(f"{self._name} is unbounded in this direction")
         values = np.where(bounded, lam * self.offset, math.inf)
         return values, (np.tile(self.an_element(), (len(D), 1)) if vectors else None)
+
+    def contains(self, x, ctx=None) -> bool:
+        slack = float(self.normal @ _as_vector(x, self.dim, "point")) - self.offset
+        return bool(within(slack if self._one_sided else abs(slack), 0.0, self.normal, ctx))
 
     def an_element(self, ctx=None) -> np.ndarray:
         return self.normal * (self.offset / float(self.normal @ self.normal))
@@ -278,11 +282,6 @@ class HalfSpace(_FlatSet):
 
     _name, _one_sided = "half-space", True
 
-    def contains(self, x, ctx=None) -> bool:
-        ctx = resolve_tolerance(ctx)
-        x = _as_vector(x, self.dim, "point")
-        return float(self.normal @ x) <= self.offset + ctx.atol
-
     def constraints_list(self, ctx=None) -> list["HalfSpace"]:
         return [self]
 
@@ -294,11 +293,6 @@ class Hyperplane(_FlatSet):
     """The region ``{x : normal . x = offset}``."""
 
     _name, _one_sided = "hyperplane", False
-
-    def contains(self, x, ctx=None) -> bool:
-        ctx = resolve_tolerance(ctx)
-        x = _as_vector(x, self.dim, "point")
-        return abs(float(self.normal @ x) - self.offset) <= ctx.atol
 
     def constraints_list(self, ctx=None) -> list[HalfSpace]:
         return [HalfSpace(self.normal, self.offset), HalfSpace(-self.normal, -self.offset)]
@@ -637,9 +631,9 @@ class HPolyhedron(ConcreteSet):
         return values, (points if vectors else None)
 
     def contains(self, x, ctx=None) -> bool:
-        ctx = resolve_tolerance(ctx)
         x = _as_vector(x, self.dim, "point")
-        return all(float(c.normal @ x) <= c.offset + ctx.atol for c in self.constraints)
+        A = np.array([c.normal for c in self.constraints]).reshape(-1, self.dim)
+        return bool(np.all(within(A.dot(x), np.array([c.offset for c in self.constraints]), A, ctx)))
 
     def constraints_list(self, ctx=None) -> list[HalfSpace]:
         return list(self.constraints)
@@ -747,10 +741,11 @@ def _hrep_vertices_2d(constraints, ctx: ToleranceContext) -> np.ndarray | None:
     # The (pairs x m) feasibility test runs in blocks of at most 8
     # constraints spread through the list, each on the points that passed
     # the blocks before: the same verdicts, with most entries never computed.
-    bound = b + 10.0 * ctx.atol
+    # The slack is 10 atol: at 1 atol, rounding drops true vertices of thin regions.
+    loose = ToleranceContext(10.0 * ctx.atol)
     k = -(-len(b) // 8)
     for s in range(k):
-        P = P[np.all(P[:, :1] * A[s::k, 0] + P[:, 1:] * A[s::k, 1] <= bound[s::k], axis=1)]
+        P = P[np.all(within(P[:, :1] * A[s::k, 0] + P[:, 1:] * A[s::k, 1], b[s::k], A[s::k], loose), axis=1)]
     return _convex_hull_2d(P) if len(P) else None
 
 

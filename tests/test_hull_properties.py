@@ -1,5 +1,5 @@
-"""Property tests: the 2-D hull's and polygon membership's verdicts do not
-depend on scale or rotation."""
+"""Property tests: the 2-D hull's, polygon membership's and every half-space
+slack test's verdicts do not depend on scale or rotation."""
 
 import math
 
@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import setcalc as sc
+from setcalc.concrete_ops import intersection, is_disjoint, is_subset, remove_redundant_constraints
+from setcalc.conversion import tohrep
 from setcalc.numerics import resolve_tolerance
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -83,3 +85,74 @@ def test_polygon_membership_tolerance_examples():
     segment = sc.VPolygon([[0.0, 0.0], [1e4, 0.0]])
     assert not sc.membership([1e4 + 5e3 * atol, 0.0], segment)
     assert sc.membership([1e4 + 0.5 * atol, 0.0], segment)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    log_scale=st.floats(-4.0, 4.0),
+    edge=st.integers(0, 2),
+    where=st.floats(0.2, 0.8),
+    factor=st.sampled_from([0.5, 2.0]),
+    outside=st.booleans(),
+)
+def test_triangle_verdicts_match_distance_oracle(log_scale, edge, where, factor, outside):
+    # A point factor * atol off the middle of an edge of the triangle with
+    # legs k: the polygon, its H-representation, the inclusion of the point,
+    # each edge's half-space and the bounding box agree with numpy distances.
+    atol = resolve_tolerance(None).atol
+    k = 10.0**log_scale
+    P = sc.VPolygon([[0.0, 0.0], [k, 0.0], [0.0, k]])
+    V = P.vertices
+    a, b = V[edge], V[(edge + 1) % 3]
+    u = (b - a) / np.linalg.norm(b - a)
+    x = a + where * (b - a) + (1.0 if outside else -1.0) * factor * atol * np.array([u[1], -u[0]])
+    # Signed distance from x to each edge's line, positive outside.
+    E = np.roll(V, -1, axis=0) - V
+    outward = (E[:, 0] * (x[1] - V[:, 1]) - E[:, 1] * (x[0] - V[:, 0])) / -np.linalg.norm(E, axis=1)
+    assert outward[edge] == pytest.approx((1.0 if outside else -1.0) * factor * atol, rel=1e-2)
+    inside = bool(np.all(outward <= atol))
+    assert P.contains(x) == inside
+    assert tohrep(P).contains(x) == inside
+    assert is_subset(sc.VPolygon([x]), P) == inside
+    for H, distance in zip(P.constraints_list(), outward):
+        assert H.contains(x) == (distance <= atol)
+    box = sc.box_approximation(P)
+    assert box.contains(x) == bool(np.max(np.maximum(box.low - x, x - box.high)) <= atol)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(
+    log_scale=st.floats(-4.0, 4.0),
+    turn=st.floats(0.1, 0.5 * math.pi - 0.1),
+    quadrant=st.integers(0, 3),
+    factor=st.sampled_from([0.5, 2.0]),
+)
+def test_scaled_normal_gives_the_same_verdict(log_scale, turn, quadrant, factor):
+    # (k a, k b) is the same half-space or hyperplane as (a, b) for a unit
+    # normal a; each predicate gives the same verdict on both, and the one a
+    # distance of factor * atol calls for.
+    atol = resolve_tolerance(None).atol
+    k = 10.0**log_scale
+    angle = turn + quadrant * 0.5 * math.pi
+    a = np.array([math.cos(angle), math.sin(angle)])
+    near = factor < 1.0
+
+    x = np.array([0.3, -0.7])
+    b = float(a @ x) + factor * atol
+    assert sc.Hyperplane(k * a, k * b).contains(x) == sc.Hyperplane(a, b).contains(x) == near
+
+    # The half-space ends factor * atol short of the triangle.
+    T = sc.VPolygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    b = -T.support_function(-a) - factor * atol
+    verdicts = [is_disjoint(sc.HalfSpace(s * a, s * b), T) for s in (1.0, k)]
+    assert verdicts == [not near] * 2
+    assert [is_disjoint(T, sc.HalfSpace(s * a, s * b)) for s in (1.0, k)] == verdicts
+
+    # The half-space cuts factor * atol into a corner of the box.
+    box = sc.Hyperrectangle([0.0, 0.0], [1.0, 1.0])
+    b = box.support_function(a) - factor * atol
+    kept = [remove_redundant_constraints(box.constraints_list() + [sc.HalfSpace(s * a, s * b)]) for s in (1.0, k)]
+    assert [len(c) for c in kept] == [4 if near else 5] * 2
+    clipped = [intersection(box, sc.HalfSpace(s * a, s * b)) for s in (1.0, k)]
+    assert [P.num_vertices for P in clipped] == [4 if near else 5] * 2
+    assert np.allclose(clipped[0].vertices, clipped[1].vertices, rtol=0.0, atol=1e-12)

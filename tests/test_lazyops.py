@@ -3,7 +3,7 @@ import pytest
 
 import setcalc as sc
 from setcalc import concretize, lazy_membership, lazy_support_function, lazy_support_vector, make_node
-from setcalc.errors import DimensionMismatchError, UnsupportedOperationError
+from setcalc.errors import DimensionMismatchError, UnboundedSetError, UnsupportedOperationError
 from conftest import random_box_2d, random_polygon, random_unit_direction, random_zonotope_2d
 
 
@@ -103,6 +103,25 @@ def test_symmetric_interval_hull_node():
     box = sc.symmetric_interval_hull(X)
     assert np.allclose(box.center, 0.0)
     assert np.allclose(box.radius_vector, [2.0, 1.0])
+
+
+def test_symmetric_interval_hull_node_unbounded_operand():
+    # An infinite radius counts only along directions that weight it; vector
+    # queries along those raise, as they do on unbounded leaves.
+    half = make_node("SymmetricIntervalHull", [sc.HalfSpace([1.0, 0.0], 1.0)])
+    strip = make_node(
+        "SymmetricIntervalHull", [sc.HPolyhedron([sc.HalfSpace([1.0, 0.0], 1.0), sc.HalfSpace([-1.0, 0.0], 2.0)])]
+    )
+    values, _ = half.support_batch(np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]))
+    assert values.tolist() == [np.inf, np.inf, 0.0]
+    values, _ = strip.support_batch(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [1.0, 1e-3], [0.0, 0.0]]))
+    assert values.tolist() == [2.0, 2.0, np.inf, np.inf, 0.0]
+    assert lazy_support_vector([-1.0, 0.0], strip).tolist() == [-2.0, 0.0]
+    for node, d in ((half, [1.0, 0.0]), (strip, [0.0, 1.0])):
+        with pytest.raises(UnboundedSetError):
+            lazy_support_vector(d, node)
+        with pytest.raises(UnboundedSetError):
+            sc.symmetric_interval_hull(node.operands[0])
 
 
 def test_union_support_is_max():

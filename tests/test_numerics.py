@@ -11,11 +11,11 @@ from setcalc.numerics import feasible_point
 
 def test_tolerance_context_defaults_and_validation():
     ctx = ToleranceContext()
-    assert ctx.atol == 1e-8 and ctx.rtol == 0.0 and ctx.ztol == 1e-8
+    assert ctx.atol == 1e-8
     with pytest.raises(ValueError):
         ToleranceContext(atol=-1.0)
     with pytest.raises(ValueError):
-        ToleranceContext(ztol=float("nan"))
+        ToleranceContext(atol=float("nan"))
     with pytest.raises(Exception):
         ctx.atol = 1.0  # frozen
 
@@ -23,8 +23,8 @@ def test_tolerance_context_defaults_and_validation():
 def test_approx_eq_basic():
     assert approx_eq(1.0, 1.0 + 1e-12)
     assert not approx_eq(1.0, 1.1)
-    assert approx_eq(1e-10, 0.0, ToleranceContext(ztol=1e-8))
-    assert not approx_eq(1e-6, 0.0, ToleranceContext(ztol=1e-8))
+    assert approx_eq(1e-10, 0.0, ToleranceContext(atol=1e-8))
+    assert not approx_eq(1e-6, 0.0, ToleranceContext(atol=1e-8))
 
 
 def test_approx_eq_symmetric_reflexive():

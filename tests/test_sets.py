@@ -390,6 +390,15 @@ def test_hyperplane_is_not_a_half_space():
         sc.HalfSpace([0.0, 0.0], 1.0)
 
 
+def test_flat_sets_accept_any_nonzero_normal():
+    # Only an all-zero normal is rejected; a tiny one bounds the same region as
+    # its unit multiple, with the same tolerance band.
+    for cls in (sc.HalfSpace, sc.Hyperplane):
+        tiny, unit = cls([1e-9, 0.0], 1e-9), cls([1.0, 0.0], 1.0)
+        for x in ([1.0 + 0.5e-8, 3.0], [1.0 + 2e-8, 3.0], [1.0, -3.0], [0.5, 0.0]):
+            assert tiny.contains(x) == unit.contains(x)
+
+
 def test_unconstrained_polyhedron_support():
     H = sc.HPolyhedron([], dim=2)
     assert H.support_function([0.0, 0.0]) == 0.0
