@@ -3,16 +3,18 @@
 Outer approximations intersect supporting half-spaces over a direction
 family (template polytopes, bounding boxes, symmetric interval hulls), or
 refine directions adaptively until a Hausdorff-distance guarantee holds
-(2-D only).  Zonotope fitting synthesizes generators along candidate
-directions by linear programming; underapproximation collects support
-vectors.  All routines work with any set (concrete or lazy) that answers
-support queries.
+(2-D only).  Zonotope fitting scales generators along candidate directions
+by one small LP over support values along candidate facet normals;
+underapproximation collects support vectors.  All routines work with any
+set (concrete or lazy) that answers support queries; the zonotope fit also
+needs its vertices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,8 +29,10 @@ from .sets import (
     VPolygon,
     VPolytope,
     Zonotope,
+    _NORMALS_CAP,
     _as_vector,
     _axis_extents,
+    _zonotope_normals,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -66,19 +70,31 @@ class DirectionTemplate:
                 if np.max(np.abs(d)) == 0.0:
                     raise ValueError("custom directions must be nonzero")
 
+    @cached_property
+    def bounded(self) -> bool:
+        """Whether the directions positively span the space, that is, whether
+        ``{x : d . x <= 1 for every direction d}`` is bounded.  The template
+        polytope of a nonempty set with finite support values has the same
+        recession cone, so it is bounded exactly when this holds."""
+        return HPolyhedron([HalfSpace(d, 1.0) for d in generate_directions(self)]).is_bounded()
 
+
+@lru_cache(maxsize=64)
 def box_template(n: int) -> DirectionTemplate:
     return DirectionTemplate("box", int(n))
 
 
+@lru_cache(maxsize=64)
 def oct_template(n: int = 2) -> DirectionTemplate:
     return DirectionTemplate("oct", int(n))
 
 
+@lru_cache(maxsize=64)
 def polar_template(k: int) -> DirectionTemplate:
     return DirectionTemplate("polar", 2, int(k))
 
 
+@lru_cache(maxsize=64)
 def spherical_template(k: int) -> DirectionTemplate:
     return DirectionTemplate("spherical", 3, int(k))
 
@@ -96,19 +112,8 @@ def generate_directions(t: DirectionTemplate) -> list[np.ndarray]:
         return [sign * e for e in np.eye(t.dim) for sign in (1.0, -1.0)]
     if t.kind == "oct":
         s = 1.0 / _SQRT2
-        return [
-            np.array(v)
-            for v in [
-                (1.0, 0.0),
-                (s, s),
-                (0.0, 1.0),
-                (-s, s),
-                (-1.0, 0.0),
-                (-s, -s),
-                (0.0, -1.0),
-                (s, -s),
-            ]
-        ]
+        ring = [(1.0, 0.0), (s, s), (0.0, 1.0), (-s, s), (-1.0, 0.0), (-s, -s), (0.0, -1.0), (s, -s)]
+        return [np.array(v) for v in ring]
     if t.kind == "polar":
         out = []
         for j in range(t.count):
@@ -138,32 +143,26 @@ def overapproximate_template(X: ConvexSet, t: DirectionTemplate, ctx: ToleranceC
     """Template polytope: one supporting constraint per template direction.
 
     Always contains X.  If the directions do not positively span the space
-    the result can be unbounded; it is then returned as an HPolyhedron
-    rather than silently mistyped as a polytope.
+    (``t.bounded``, decided once per template) the result is unbounded; it
+    is then returned as an HPolyhedron rather than mistyped as a polytope.
     """
-    ctx = resolve_tolerance(ctx)
     D = np.array(generate_directions(t))
     values, _ = X.support_batch(D, ctx)
     if np.any(values == math.inf):
         raise UnboundedSetError("support of the input set is unbounded along a template direction")
     constraints = [HalfSpace(d, value) for d, value in zip(D, values)]
-    region = HPolyhedron(constraints)
-    if t.kind in ("box", "oct") or (t.kind == "polar" and t.count >= 3):
-        return HPolytope(constraints)
-    if region.is_bounded(ctx):
-        return HPolytope(constraints)
-    return region
+    return (HPolytope if t.bounded else HPolyhedron)(constraints)
 
 
 def box_approximation(X: ConvexSet, ctx: ToleranceContext | None = None) -> Hyperrectangle:
     """Tightest axis-aligned bounding box, from one batched query on ``[I; -I]``."""
-    hi, lo = _axis_extents(X, resolve_tolerance(ctx), "box")
+    hi, lo = _axis_extents(X, ctx, "box")
     return Hyperrectangle((lo + hi) / 2.0, (hi - lo) / 2.0)
 
 
 def symmetric_interval_hull(X: ConvexSet, ctx: ToleranceContext | None = None) -> Hyperrectangle:
     """Smallest origin-symmetric box containing X."""
-    hi, lo = _axis_extents(X, resolve_tolerance(ctx), "hull")
+    hi, lo = _axis_extents(X, ctx, "hull")
     return Hyperrectangle(np.zeros(X.dim), np.maximum(np.abs(hi), np.abs(lo)))
 
 
@@ -192,7 +191,6 @@ def overapproximate_eps_2d(X: ConvexSet, eps: float, ctx: ToleranceContext | Non
     the two support vectors (which lies inside X), a valid local bound on
     the Hausdorff distance.
     """
-    ctx = resolve_tolerance(ctx)
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -236,65 +234,47 @@ def overapproximate_eps_2d(X: ConvexSet, eps: float, ctx: ToleranceContext | Non
 def overapproximate_zonotope(X: ConvexSet, directions, ctx: ToleranceContext | None = None) -> Zonotope:
     """Fit a zonotope over X with generators along the given directions.
 
-    Centered at the vertex centroid; scales alpha_j >= 0 and per-vertex
-    coefficients beta are chosen by an LP that reproduces every vertex of X
-    as ``c + sum_j beta_j d_j`` with |beta_j| <= alpha_j, minimizing the
-    total scale.  Containment of X follows from convexity.
+    The center c is the vertex centroid of X and generator j is
+    ``alpha_j d_j``.  Z contains X iff ``rho(l, X) - c.l <= sum_j alpha_j |l.d_j|``
+    for every facet normal l of Z, taken with both signs.  The rows take l
+    over the nonzero normals of all (n-1)-subsets of the directions, which
+    hold every facet normal, and over the directions themselves, which
+    decide a flat Z; the support values come from one batched query.  One
+    LP in the m scales minimizes their sum (Guibas, Nguyen and Zhang,
+    "Zonotopes as bounding volumes", 2003).  The rows are exact in 1-D and
+    2-D; in higher dimensions X must be full-dimensional and the directions
+    must span the space, with at most ``_NORMALS_CAP`` subsets.
     """
     ctx = resolve_tolerance(ctx)
-    directions = [_as_vector(d, X.dim, "direction") for d in directions]
-    if not directions:
+    n = X.dim
+    D = np.array([_as_vector(d, n, "direction") for d in directions]).reshape(-1, n)
+    if not D.size:
         raise ValueError("need at least one candidate direction")
     vertices = X.vertices_list(ctx)
     if not vertices:
         raise EmptySetError("cannot fit a zonotope around an empty set")
     V = np.array(vertices)
     center = V.mean(axis=0)
-    m = len(directions)
-    K = V.shape[0]
-    n = X.dim
-
-    # Variables: alpha (m) then beta (K * m), row-major by vertex.
-    nvars = m + K * m
-
-    def beta_col(v: int, j: int) -> int:
-        return m + v * m + j
-
-    constraints = []
-    for j in range(m):
-        row = np.zeros(nvars)
-        row[j] = -1.0
-        constraints.append((row.copy(), 0.0))  # alpha_j >= 0
-    for v in range(K):
-        for j in range(m):
-            row = np.zeros(nvars)
-            row[beta_col(v, j)] = 1.0
-            row[j] = -1.0
-            constraints.append((row.copy(), 0.0))  # beta <= alpha
-            row = np.zeros(nvars)
-            row[beta_col(v, j)] = -1.0
-            row[j] = -1.0
-            constraints.append((row.copy(), 0.0))  # -beta <= alpha
-    rhs_all = V - center
-    for v in range(K):
-        for i in range(n):
-            row = np.zeros(nvars)
-            for j in range(m):
-                row[beta_col(v, j)] = directions[j][i]
-            target = float(rhs_all[v, i])
-            constraints.append((row.copy(), target))
-            constraints.append((-row, -target))
-
-    objective = np.zeros(nvars)
-    objective[:m] = -1.0  # maximize -sum(alpha) == minimize total scale
-    outcome = solve_lp(LinearProgram(objective, constraints), ctx)
-    if outcome.status is not LpStatus.OPTIMAL:
+    if n > 2 and min(np.linalg.matrix_rank(V - center), np.linalg.matrix_rank(D)) < n:
         raise UnsupportedOperationError(
-            "the candidate directions cannot reproduce the vertex offsets"
+            "zonotope fits in dimension > 2 need a full-dimensional set and spanning directions"
         )
-    alphas = outcome.optimizer[:m]
+    normals = _zonotope_normals(D.T)
+    if normals is None:
+        raise UnsupportedOperationError(f"more than {_NORMALS_CAP} candidate facet normals")
+    L = np.vstack((normals, D))
+    values, _ = X.support_batch(np.vstack((L, -L)), ctx)
+    lc = L.dot(center)
+    need = np.maximum(values[: len(L)] - lc, values[len(L) :] + lc)
+    # Rows -|L d_j| alpha <= -need and -alpha <= 0; maximize -sum(alpha).
+    m = D.shape[0]
+    rows = np.vstack((-np.abs(L.dot(D.T)), -np.eye(m)))
+    outcome = solve_lp(LinearProgram(-np.ones(m), zip(rows, np.concatenate((-need, np.zeros(m))))), ctx)
+    if outcome.status is not LpStatus.OPTIMAL:
+        raise UnsupportedOperationError("the candidate directions cannot cover the set")
+    alphas = outcome.optimizer
     # Generators no longer than atol are dropped.
-    G = (np.array(directions).T * alphas)[:, alphas * np.linalg.norm(directions, axis=1) > ctx.atol]
+    G = (D.T * alphas)[:, alphas * np.linalg.norm(D, axis=1) > ctx.atol]
     return Zonotope(center, G)
 
 
@@ -304,7 +284,6 @@ def underapproximate(X: ConvexSet, directions, ctx: ToleranceContext | None = No
     Support vectors are members of X, so the hull is an inner approximation.
     Returns a VPolygon in 2-D, a VPolytope otherwise.
     """
-    ctx = resolve_tolerance(ctx)
     directions = [_as_vector(d, X.dim, "direction") for d in directions]
     if not directions:
         raise ValueError("need at least one direction")

@@ -153,7 +153,6 @@ def _to_polygon(X: ConcreteSet, ctx: ToleranceContext) -> VPolygon:
 
 def minkowski_sum(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
     """X + Y pointwise, for box, zonotope, and 2-D polygon pairs."""
-    ctx = resolve_tolerance(ctx)
     _require_same_dim(X, Y)
     if isinstance(X, AbstractHyperrectangle) and isinstance(Y, AbstractHyperrectangle):
         if isinstance(X, Interval) and isinstance(Y, Interval):
@@ -269,7 +268,6 @@ def intersection_fastpath(
     interval of the box.  An infeasible clamp returns an (empty) H-polytope
     carrying the contradictory bounds.
     """
-    ctx = resolve_tolerance(ctx)
     nonzero = np.nonzero(H.normal)[0]
     if nonzero.size != 1:
         raise UnsupportedOperationError("fast path needs a single-entry normal")
@@ -302,7 +300,6 @@ def intersection_fastpath(
 
 def cartesian_product(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
     """Concatenate dimensions: boxes stay boxes, zonotope pairs go block-diagonal."""
-    ctx = resolve_tolerance(ctx)
     if isinstance(X, AbstractHyperrectangle) and isinstance(Y, AbstractHyperrectangle):
         return Hyperrectangle(
             np.concatenate([X.center, Y.center]),
@@ -322,7 +319,6 @@ def cartesian_product(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | No
 
 def convex_hull_union(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> VPolygon:
     """Convex hull of the union of two 2-D polytopic sets."""
-    ctx = resolve_tolerance(ctx)
     _require_same_dim(X, Y)
     if X.dim != 2:
         raise UnsupportedOperationError("concrete convex hull is only implemented in 2-D")
@@ -332,7 +328,6 @@ def convex_hull_union(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | No
 
 def linear_map(M, X: ConcreteSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
     """The image ``{M x : x in X}``."""
-    ctx = resolve_tolerance(ctx)
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[1] != X.dim:
         raise DimensionMismatchError(
@@ -374,7 +369,6 @@ def translate(X: ConcreteSet, v, ctx: ToleranceContext | None = None) -> Concret
 
 def is_empty(X: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
     """Emptiness test (feasibility LP for H-representations)."""
-    ctx = resolve_tolerance(ctx)
     if isinstance(X, (AbstractHyperrectangle, Zonotope, HalfSpace, Hyperplane)):
         return False
     if isinstance(X, VPolygon):

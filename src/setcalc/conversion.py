@@ -8,7 +8,7 @@ two are not implemented and raise.
 from __future__ import annotations
 
 from .errors import UnsupportedOperationError
-from .numerics import ToleranceContext, resolve_tolerance
+from .numerics import ToleranceContext
 from .sets import (
     AbstractHyperrectangle,
     ConcreteSet,
@@ -50,8 +50,6 @@ def convert_to(target: type, X, ctx: ToleranceContext | None = None) -> Concrete
     cartesian product of an interval with a box -> Zonotope.  Unknown pairs
     raise, pointing at the approximation module for lossy routes.
     """
-    ctx = resolve_tolerance(ctx)
-
     # A lazy cartesian product of box kinds converts by first building the
     # concrete product box.
     from .lazyops import LazyNode

@@ -537,7 +537,6 @@ def concretize(T: ConvexSet, ctx: ToleranceContext | None = None) -> ConcreteSet
     2-D nodes of any other tree are built as polygons from their operands'
     values in one bottom-up pass.  Everything else raises.
     """
-    ctx = resolve_tolerance(ctx)
     if not isinstance(T, (ConcreteSet, LazyNode)):
         raise TypeError(f"expected a set, got {type(T).__name__}")
     flags, zonotopes = {}, {}  # memos shared by every closed-form subtree

@@ -15,8 +15,10 @@ raises instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from abc import ABC, abstractmethod
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +41,10 @@ from .numerics import (
     within,
 )
 
-# Hard cap on the exponential vertex enumeration of boxes (2^n corners).
+# Hard caps on the exponential enumerations: box corners (2^n) and the
+# (n-1)-subsets of generators whose normals are candidate zonotope facets.
 _ENUM_CAP = 16
+_NORMALS_CAP = 4096
 
 
 def _as_vector(value, n: int | None = None, name: str = "vector") -> np.ndarray:
@@ -84,6 +88,25 @@ def _axis_extents(X, ctx, purpose: str) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(values)):
         raise UnboundedSetError(f"cannot {purpose} an unbounded set")
     return values[:n], -values[n:]
+
+
+def _zonotope_normals(G: np.ndarray) -> np.ndarray | None:
+    """Candidate facet normals of a zonotope with the n x m generator matrix G.
+
+    One row per (n-1)-subset of G's columns whose generalized cross product
+    is nonzero: entry i is (-1)^i times the minor of the subset without row
+    i, one batched determinant for all of them.  In 2-D the rows are the
+    generators turned by a quarter, in 1-D the single normal 1.  None where
+    there are more than ``_NORMALS_CAP`` subsets.
+    """
+    n, m = G.shape
+    if math.comb(m, n - 1) > _NORMALS_CAP:
+        return None
+    subsets = list(itertools.combinations(range(m), n - 1))
+    subsets = np.array(subsets, dtype=int).reshape(len(subsets), n - 1)
+    rows = np.array([np.delete(np.arange(n), i) for i in range(n)], dtype=int).reshape(n, n - 1)
+    N = np.linalg.det(G[rows[None, :, :, None], subsets[:, None, None, :]]) * (-1.0) ** np.arange(n)
+    return N[(N != 0.0).any(axis=1)]
 
 
 def _convex_hull_2d(points: np.ndarray, eps: float | None = None) -> np.ndarray:
@@ -389,7 +412,7 @@ class Hyperrectangle(AbstractHyperrectangle):
     def __init__(self, center, radius):
         self.center = _as_vector(center, name="center")
         radius = _as_vector(radius, self.center.size, "radius")
-        if np.any(radius < 0.0):
+        if (radius < 0.0).any():
             raise ValueError("radius entries must be nonnegative")
         self._radius = radius
 
@@ -507,23 +530,32 @@ class Zonotope(ConcreteSet):
         values = D.dot(self.center) + np.abs(DG).sum(axis=1)
         return values, (self.center + _sign_plus(DG).dot(self.generators.T) if vectors else None)
 
+    @cached_property
+    def _facets(self):
+        # (N, h): candidate facet normals and the half-widths sum_i |N g_i|
+        # along them; None where they do not decide membership, that is
+        # generators of rank < n or more subsets than _NORMALS_CAP.
+        G = self.generators
+        N = _zonotope_normals(G) if np.linalg.matrix_rank(G) == self.dim else None
+        return None if N is None else (N, np.abs(N.dot(G)).sum(axis=1))
+
     def contains(self, x, ctx=None) -> bool:
-        # Feasibility of G xi = x - c with xi in [-1, 1]^m.
-        ctx = resolve_tolerance(ctx)
+        # With generators of full rank, x is a member iff |N (x - c)| <= h
+        # along every facet normal (Althoff, Stursberg and Buss, 2010), each
+        # row within atol as a distance; otherwise feasibility of
+        # G xi = x - c with xi in [-1, 1]^m, within atol per coordinate.
         x = _as_vector(x, self.dim, "point")
         m = self.num_generators
         rhs = x - self.center
         if m == 0:
-            return bool(np.all(np.abs(rhs) <= ctx.atol))
-        constraints = []
-        eye = np.eye(m)
-        for j in range(m):
-            constraints.append((eye[j], 1.0))
-            constraints.append((-eye[j], 1.0))
-        for i in range(self.dim):
-            constraints.append((self.generators[i], float(rhs[i]) + ctx.atol))
-            constraints.append((-self.generators[i], -float(rhs[i]) + ctx.atol))
-        return is_feasible(constraints, ctx)
+            return math.sqrt(float(rhs.dot(rhs))) <= resolve_tolerance(ctx).atol
+        if self._facets is not None:
+            N, h = self._facets
+            return bool(np.all(within(np.abs(N.dot(rhs)), h, N, ctx)))
+        ctx = resolve_tolerance(ctx)
+        eye, G = np.eye(m), self.generators
+        offsets = np.concatenate((np.ones(2 * m), rhs + ctx.atol, ctx.atol - rhs))
+        return is_feasible(zip(np.vstack((eye, -eye, G, -G)), offsets), ctx)
 
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
         if self.dim == 1:
@@ -615,7 +647,6 @@ class HPolyhedron(ConcreteSet):
 
     def _support_batch(self, D, ctx, vectors):
         # One LP per direction yields both the value and the maximizer.
-        ctx = resolve_tolerance(ctx)
         constraints = self._lp_constraints()
         values, points = np.empty(len(D)), np.empty(D.shape)
         for i, d in enumerate(D):
@@ -639,7 +670,6 @@ class HPolyhedron(ConcreteSet):
         return list(self.constraints)
 
     def is_bounded(self, ctx=None) -> bool:
-        ctx = resolve_tolerance(ctx)
         if self.dim == 2:
             if self.constraints and not is_feasible(self._lp_constraints(), ctx):
                 raise EmptySetError("is_bounded of an empty polyhedron")
@@ -650,7 +680,6 @@ class HPolyhedron(ConcreteSet):
         return True
 
     def an_element(self, ctx=None) -> np.ndarray:
-        ctx = resolve_tolerance(ctx)
         if not self.constraints:
             return np.zeros(self.dim)
         point = feasible_point(self._lp_constraints(), ctx)
@@ -976,7 +1005,6 @@ def sample(X: ConcreteSet, k: int, seed: int, ctx: ToleranceContext | None = Non
     Budget of 1e6 draws per point; exceeding it (or an empty/unbounded X)
     raises.
     """
-    ctx = resolve_tolerance(ctx)
     if k < 0:
         raise ValueError("sample count must be nonnegative")
     hi, lo = _axis_extents(X, ctx, "sample from")

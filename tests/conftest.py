@@ -2,6 +2,23 @@ import numpy as np
 import pytest
 
 import setcalc as sc
+import setcalc.approximation
+import setcalc.numerics
+import setcalc.sets
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The list of every LP the library solves while the test runs."""
+    calls = []
+
+    def counting(lp, ctx=None, solve=setcalc.numerics.solve_lp):
+        calls.append(lp)
+        return solve(lp, ctx)
+
+    for module in (setcalc.numerics, setcalc.sets, setcalc.approximation):
+        monkeypatch.setattr(module, "solve_lp", counting)
+    return calls
 
 
 @pytest.fixture

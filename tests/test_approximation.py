@@ -18,7 +18,7 @@ from setcalc import (
     symmetric_interval_hull,
     underapproximate,
 )
-from setcalc.errors import UnsupportedOperationError
+from setcalc.errors import EmptySetError, UnboundedSetError, UnsupportedOperationError
 from conftest import random_polygon, random_zonotope_2d
 
 # Values printed by a five-direction polar sweep starting at (1, 0).
@@ -103,6 +103,37 @@ def test_template_unspanning_directions_give_polyhedron():
     )
     assert isinstance(out, sc.HPolyhedron)
     assert not isinstance(out, sc.HPolytope)
+
+
+def test_template_boundedness_is_decided_once_per_template(lp_calls):
+    # The polytope type follows whether the template directions positively
+    # span the space, and a template decides that once.
+    rng = np.random.default_rng(313)
+    for trial in range(60):
+        n = 2 + trial % 4
+        D = rng.normal(size=(int(rng.integers(1, 3 * n + 2)), n))
+        if trial % 3 == 0:
+            D[:, 0] = np.abs(D[:, 0])  # all in one half-space
+        H = overapproximate_template(sc.BallInf(rng.normal(size=n), 0.5), custom_template(list(D)))
+        assert isinstance(H, sc.HPolytope) == sc.HPolyhedron(list(H.constraints)).is_bounded()
+    # Stock templates are shared values, so a fresh call is the same template.
+    t = custom_template(list(rng.normal(size=(12, 6))))
+    X = sc.BallInf(np.zeros(6), 1.0)
+    assert isinstance(overapproximate_template(X, t), sc.HPolytope)
+    assert isinstance(overapproximate_template(X, box_template(6)), sc.HPolytope)
+    solved = len(lp_calls)
+    assert isinstance(overapproximate_template(X, t), sc.HPolytope)
+    assert isinstance(overapproximate_template(X, box_template(6)), sc.HPolytope)
+    assert len(lp_calls) == solved
+
+
+def test_template_of_an_empty_or_unbounded_set_raises():
+    empty = sc.HPolyhedron([sc.HalfSpace([1.0, 0.0, 0.0], -1.0), sc.HalfSpace([-1.0, 0.0, 0.0], -1.0)])
+    for t in (box_template(3), custom_template([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])):
+        with pytest.raises(EmptySetError):
+            overapproximate_template(empty, t)
+        with pytest.raises(UnboundedSetError):
+            overapproximate_template(sc.HalfSpace([1.0, 0.0, 0.0], 0.0), t)
 
 
 def test_template_refinement_monotonicity():

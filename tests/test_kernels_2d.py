@@ -128,19 +128,6 @@ def test_is_bounded_2d_empty_raises_and_unconstrained_is_unbounded():
     assert not sc.HPolyhedron([], dim=2).is_bounded()
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    calls = []
-
-    def counting(lp, ctx=None, solve=setcalc.numerics.solve_lp):
-        calls.append(lp)
-        return solve(lp, ctx)
-
-    monkeypatch.setattr(setcalc.numerics, "solve_lp", counting)
-    monkeypatch.setattr(setcalc.sets, "solve_lp", counting)
-    return calls
-
-
 def test_tovrep_and_2d_is_bounded_run_one_lp(lp_calls):
     angles = np.arange(8) * (math.pi / 4.0)
     octagon = sc.tohrep(sc.VPolygon(np.column_stack((np.cos(angles), np.sin(angles)))))

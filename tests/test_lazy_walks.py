@@ -30,6 +30,8 @@ POLAR = np.array(generate_directions(polar_template(64)))
 def _outcome(f, *args):
     try:
         return f(*args)
+    except Warning:
+        raise  # a warning turned into an error is a failure, not an outcome
     except Exception as exc:  # noqa: BLE001 - the exception type is compared
         return exc
 
