@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +29,9 @@ from .sets import (
     VPolygon,
     VPolytope,
     Zonotope,
-    _NORMALS_CAP,
     _as_vector,
     _axis_extents,
+    _normals_bound_2d,
     _zonotope_normals,
 )
 
@@ -76,25 +76,22 @@ class DirectionTemplate:
         ``{x : d . x <= 1 for every direction d}`` is bounded.  The template
         polytope of a nonempty set with finite support values has the same
         recession cone, so it is bounded exactly when this holds."""
-        return HPolyhedron([HalfSpace(d, 1.0) for d in generate_directions(self)]).is_bounded()
+        region = [HalfSpace(d, 1.0) for d in generate_directions(self)]
+        return _normals_bound_2d(region) if self.dim == 2 else HPolyhedron(region).is_bounded()
 
 
-@lru_cache(maxsize=64)
 def box_template(n: int) -> DirectionTemplate:
     return DirectionTemplate("box", int(n))
 
 
-@lru_cache(maxsize=64)
 def oct_template(n: int = 2) -> DirectionTemplate:
     return DirectionTemplate("oct", int(n))
 
 
-@lru_cache(maxsize=64)
 def polar_template(k: int) -> DirectionTemplate:
     return DirectionTemplate("polar", 2, int(k))
 
 
-@lru_cache(maxsize=64)
 def spherical_template(k: int) -> DirectionTemplate:
     return DirectionTemplate("spherical", 3, int(k))
 
@@ -112,8 +109,19 @@ def generate_directions(t: DirectionTemplate) -> list[np.ndarray]:
         return [sign * e for e in np.eye(t.dim) for sign in (1.0, -1.0)]
     if t.kind == "oct":
         s = 1.0 / _SQRT2
-        ring = [(1.0, 0.0), (s, s), (0.0, 1.0), (-s, s), (-1.0, 0.0), (-s, -s), (0.0, -1.0), (s, -s)]
-        return [np.array(v) for v in ring]
+        return [
+            np.array(v)
+            for v in [
+                (1.0, 0.0),
+                (s, s),
+                (0.0, 1.0),
+                (-s, s),
+                (-1.0, 0.0),
+                (-s, -s),
+                (0.0, -1.0),
+                (s, -s),
+            ]
+        ]
     if t.kind == "polar":
         out = []
         for j in range(t.count):
@@ -255,13 +263,16 @@ def overapproximate_zonotope(X: ConvexSet, directions, ctx: ToleranceContext | N
         raise EmptySetError("cannot fit a zonotope around an empty set")
     V = np.array(vertices)
     center = V.mean(axis=0)
-    if n > 2 and min(np.linalg.matrix_rank(V - center), np.linalg.matrix_rank(D)) < n:
+    rank_x, rank_d = np.linalg.matrix_rank(V - center), np.linalg.matrix_rank(D)
+    if rank_d == 0 < rank_x:
+        raise UnsupportedOperationError("the candidate directions cannot cover the set")
+    if n > 2 and min(rank_x, rank_d) < n:
         raise UnsupportedOperationError(
             "zonotope fits in dimension > 2 need a full-dimensional set and spanning directions"
         )
     normals = _zonotope_normals(D.T)
     if normals is None:
-        raise UnsupportedOperationError(f"more than {_NORMALS_CAP} candidate facet normals")
+        raise UnsupportedOperationError("too many candidate facet normals")
     L = np.vstack((normals, D))
     values, _ = X.support_batch(np.vstack((L, -L)), ctx)
     lc = L.dot(center)

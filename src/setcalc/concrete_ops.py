@@ -65,11 +65,7 @@ def _require_same_dim(X: ConvexSet, Y: ConvexSet) -> int:
 
 def _box_to_zonotope(B: AbstractHyperrectangle) -> Zonotope:
     r = B.radius_vector
-    cols = [i for i in range(B.dim) if r[i] != 0.0]
-    G = np.zeros((B.dim, len(cols)))
-    for j, i in enumerate(cols):
-        G[i, j] = r[i]
-    return Zonotope(B.center, G)
+    return Zonotope(B.center, np.diag(r)[:, r != 0.0])
 
 
 def _as_zonotope(X: ConcreteSet) -> Zonotope:

@@ -412,7 +412,7 @@ class Hyperrectangle(AbstractHyperrectangle):
     def __init__(self, center, radius):
         self.center = _as_vector(center, name="center")
         radius = _as_vector(radius, self.center.size, "radius")
-        if (radius < 0.0).any():
+        if np.any(radius < 0.0):
             raise ValueError("radius entries must be nonnegative")
         self._radius = radius
 
@@ -548,7 +548,7 @@ class Zonotope(ConcreteSet):
         m = self.num_generators
         rhs = x - self.center
         if m == 0:
-            return math.sqrt(float(rhs.dot(rhs))) <= resolve_tolerance(ctx).atol
+            return bool(np.all(np.abs(rhs) <= resolve_tolerance(ctx).atol))
         if self._facets is not None:
             N, h = self._facets
             return bool(np.all(within(np.abs(N.dot(rhs)), h, N, ctx)))
@@ -586,7 +586,7 @@ class Zonotope(ConcreteSet):
             )
         verts = self.vertices_list(ctx)
         if len(verts) == 1:
-            return _point_constraints_2d(verts[0])
+            return Hyperrectangle(verts[0], np.zeros(2)).constraints_list()
         if len(verts) == 2:
             return _segment_constraints_2d(verts[0], verts[1])
         return VPolygon(verts).constraints_list(ctx)
@@ -712,16 +712,6 @@ class HPolyhedron(ConcreteSet):
 
 class HPolytope(HPolyhedron):
     """H-representation polytope; carries the promise of boundedness."""
-
-
-def _point_constraints_2d(p: np.ndarray) -> list[HalfSpace]:
-    out = []
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
-        out.append(HalfSpace(e.copy(), float(p[i])))
-        out.append(HalfSpace(-e, -float(p[i])))
-    return out
 
 
 def _segment_constraints_2d(a: np.ndarray, b: np.ndarray) -> list[HalfSpace]:
@@ -924,17 +914,10 @@ class VPolytope(ConcreteSet):
         # V^T lambda = x, checked as LP feasibility.
         ctx = resolve_tolerance(ctx)
         x = _as_vector(x, self.dim, "point")
-        k = self.vertices.shape[0]
-        eye = np.eye(k)
-        ones = np.ones(k)
-        constraints = [(-eye[i], 0.0) for i in range(k)]
-        constraints.append((ones, 1.0 + ctx.atol))
-        constraints.append((-ones, -1.0 + ctx.atol))
-        for i in range(self.dim):
-            col = self.vertices[:, i]
-            constraints.append((col, float(x[i]) + ctx.atol))
-            constraints.append((-col, -float(x[i]) + ctx.atol))
-        return is_feasible(constraints, ctx)
+        k, V = self.vertices.shape[0], self.vertices.T
+        normals = np.vstack((-np.eye(k), np.ones(k), -np.ones(k), V, -V))
+        offsets = np.concatenate((np.zeros(k), [1.0 + ctx.atol, ctx.atol - 1.0], x + ctx.atol, ctx.atol - x))
+        return is_feasible(zip(normals, offsets), ctx)
 
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
         if self.dim == 2:

@@ -116,15 +116,19 @@ def test_template_boundedness_is_decided_once_per_template(lp_calls):
             D[:, 0] = np.abs(D[:, 0])  # all in one half-space
         H = overapproximate_template(sc.BallInf(rng.normal(size=n), 0.5), custom_template(list(D)))
         assert isinstance(H, sc.HPolytope) == sc.HPolyhedron(list(H.constraints)).is_bounded()
-    # Stock templates are shared values, so a fresh call is the same template.
     t = custom_template(list(rng.normal(size=(12, 6))))
     X = sc.BallInf(np.zeros(6), 1.0)
     assert isinstance(overapproximate_template(X, t), sc.HPolytope)
-    assert isinstance(overapproximate_template(X, box_template(6)), sc.HPolytope)
     solved = len(lp_calls)
     assert isinstance(overapproximate_template(X, t), sc.HPolytope)
-    assert isinstance(overapproximate_template(X, box_template(6)), sc.HPolytope)
     assert len(lp_calls) == solved
+    # In 2-D the normals decide it without an LP.
+    P = sc.VPolygon([[0.0, 0.0], [2.0, 0.2], [1.5, 1.4]])
+    templates = [oct_template(), polar_template(2), polar_template(32), custom_template(list(rng.normal(size=(5, 2))))]
+    outs = [overapproximate_template(P, t) for t in templates]
+    assert len(lp_calls) == solved
+    for H in outs:
+        assert isinstance(H, sc.HPolytope) == sc.HPolyhedron(list(H.constraints)).is_bounded()
 
 
 def test_template_of_an_empty_or_unbounded_set_raises():

@@ -109,6 +109,19 @@ def test_fit_raises_where_its_rows_are_not_exact(monkeypatch):
         sc.overapproximate_zonotope(cube, list(np.eye(3)))
 
 
+def test_fit_with_zero_directions_matches_vertex_lp():
+    # Zero directions add nothing to Z, so with only zero directions Z is
+    # its center and covers no polygon, only a point.
+    P = sc.VPolygon([[0.0, 0.0], [2.0, 0.2], [1.5, 1.4], [0.1, 1.0]])
+    zero = np.zeros(2)
+    for directions in ([zero], [zero, zero], [zero, np.array([1.0, 0.0]), np.array([0.0, 1.0])]):
+        _check_fit(P, directions)
+    with pytest.raises(UnsupportedOperationError):
+        sc.overapproximate_zonotope(P, [[0.0, 0.0]])
+    Z = sc.overapproximate_zonotope(sc.VPolygon([[1.0, 2.0]]), [[0.0, 0.0]])
+    assert np.array_equal(Z.center, [1.0, 2.0]) and Z.num_generators == 0
+
+
 def _random_generators(rng, n, m):
     G = rng.uniform(-1.0, 1.0, size=(n, m))
     for j in range(1, m):
@@ -171,6 +184,18 @@ def test_full_rank_membership_solves_no_lp(lp_calls):
         for x in _probe_points(rng, c, G):
             Z.contains(x)
     assert lp_calls == []
+
+
+def test_point_membership_does_not_depend_on_zero_generators():
+    # Without generators, or with only zero ones, atol applies per
+    # coordinate, as in the feasibility LP (whose own phase-1 tolerance
+    # blurs the band from atol to 2 atol, so the outside points sit beyond).
+    atol = resolve_tolerance(None).atol
+    c = np.array([1.0, -2.0])
+    for offset in ([0.9, 0.9], [0.9, -0.9], [5.0, 0.0], [0.0, -5.0]):
+        x = c + atol * np.array(offset)
+        verdict = all(abs(o) < 1.0 for o in offset)
+        assert sc.Zonotope(c, []).contains(x) == sc.Zonotope(c, np.zeros((2, 1))).contains(x) == verdict
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
