@@ -71,12 +71,19 @@ class DirectionTemplate:
                     raise ValueError("custom directions must be nonzero")
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """The rows of :func:`generate_directions`, built once per template; read-only."""
+        D = np.array(generate_directions(self), dtype=float)
+        D.flags.writeable = False
+        return D
+
+    @cached_property
     def bounded(self) -> bool:
         """Whether the directions positively span the space, that is, whether
         ``{x : d . x <= 1 for every direction d}`` is bounded.  The template
         polytope of a nonempty set with finite support values has the same
         recession cone, so it is bounded exactly when this holds."""
-        region = [HalfSpace(d, 1.0) for d in generate_directions(self)]
+        region = [HalfSpace(d, 1.0) for d in self.matrix]
         return _normals_bound_2d(region) if self.dim == 2 else HPolyhedron(region).is_bounded()
 
 
@@ -154,11 +161,10 @@ def overapproximate_template(X: ConvexSet, t: DirectionTemplate, ctx: ToleranceC
     (``t.bounded``, decided once per template) the result is unbounded; it
     is then returned as an HPolyhedron rather than mistyped as a polytope.
     """
-    D = np.array(generate_directions(t))
-    values, _ = X.support_batch(D, ctx)
+    values, _ = X.support_batch(t.matrix, ctx)
     if np.any(values == math.inf):
         raise UnboundedSetError("support of the input set is unbounded along a template direction")
-    constraints = [HalfSpace(d, value) for d, value in zip(D, values)]
+    constraints = [HalfSpace(d, value) for d, value in zip(t.matrix, values)]
     return (HPolytope if t.bounded else HPolyhedron)(constraints)
 
 

@@ -2,8 +2,11 @@
 
 A :class:`LazyNode` records an operation applied to child sets (lazy or
 concrete) without computing anything.  Every kind has one row in ``_KINDS``
-holding its arity and its rules.  Support queries take a direction matrix and
-propagate it down the tree in one iterative, memoized pass:
+holding its arity and its rules.  A support query on a direction matrix runs
+in three phases: the direction blocks go down the tree, node by node in order
+of decreasing height, each node stacking what its parents sent; every leaf
+answers all its stacked rows in one call; and each node combines its
+operands' rows on the way up.  The rules are
 
     rho(d, X + Y)        = rho(d, X) + rho(d, Y)
     rho((d1, d2), X x Z) = rho(d1, X) + rho(d2, Z)
@@ -22,6 +25,7 @@ and shared trees cost time linear in their distinct nodes.
 from __future__ import annotations
 
 import functools
+from heapq import heappop, heappush
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -52,7 +56,7 @@ class LazyNode(ConvexSet):
     Nodes are immutable; build them with :func:`make_node`.
     """
 
-    __slots__ = ("kind", "operands", "matrix", "vector", "_dim")
+    __slots__ = ("kind", "operands", "matrix", "vector", "_dim", "_height")
 
     def __init__(self, kind, operands, matrix=None, vector=None, _dim=None):
         object.__setattr__(self, "kind", kind)
@@ -60,9 +64,19 @@ class LazyNode(ConvexSet):
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "_dim", _dim)
+        # A parent is higher than each operand; a concrete operand has height 0.
+        height = 0
+        for op in self.operands:
+            if type(op) is LazyNode and op._height > height:
+                height = op._height
+        object.__setattr__(self, "_height", height + 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("LazyNode is immutable")
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through the validated constructor.
+        return make_node, (self.kind, self.operands, self.matrix, self.vector)
 
     @property
     def dim(self) -> int:
@@ -104,7 +118,7 @@ class LazyNode(ConvexSet):
         return lazy_membership(x, self, ctx)
 
     def depth(self) -> int:
-        return _fold(self, lambda leaf: 1, lambda node, depths: 1 + max(depths))
+        return self._height + 1
 
     def num_leaves(self) -> int:
         """Leaf count of the tree: a leaf reached along several paths counts once per path."""
@@ -440,32 +454,59 @@ _MODES = {
 
 def _evaluate(T, D, ctx, mode, want):
     """Support values of T along the rows of D, and its vectors if ``want``,
-    from one iterative post-order walk over (node, direction block) pairs.
-    The memo is keyed by their ids, so a shared subtree that receives the
-    same block is evaluated once; ``blocks`` keeps every block alive so that
-    no new array can reuse the id of a freed one."""
+    in three phases over (node, want) pairs.  Down: pairs leave a heap by
+    decreasing node height, so each comes after all its parents, and call
+    their ``blocks`` rule once on their stacked distinct incoming blocks.
+    Leaves: each concrete set's pair, popped last, makes one
+    ``_support_batch`` call on its stack.  Up: in reverse pop order, each
+    lazy pair calls its ``combine`` rule once, on the rows of its operands'
+    results that answer its blocks.  Blocks are told apart by id, so a
+    subtree sent one block by several parents evaluates it once; all
+    blocks stay alive until the end, so no new array can reuse an id."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     rules = _MODES[mode]
-    memo = {}
-    blocks = [D]
-    root = (T, D, want, (id(T), id(D), want), None)
-    stack = [root]
-    while stack:
-        node, block, w, key, children = stack.pop()
-        if children is not None:
-            memo[key] = rules[node.kind][1](node, block, [memo[c[3]] for c in children], w, ctx)
-        elif key in memo:
-            continue
-        elif type(node) is not LazyNode:
-            memo[key] = node._support_batch(block, ctx, w)
+    # A pair is [node, {id(block): block}, row slices by block id, result]; its heap
+    # entry leads with the unique (-height, id(node), want), so pairs are never compared.
+    root = [T, {id(D): D}, None, None]
+    pairs = {(id(T), want): root}
+    heap = [(-T._height if type(T) is LazyNode else 0, id(T), want, root)]
+    down = []
+    while heap:
+        _, _, w, pair = heappop(heap)
+        X, incoming, _, _ = pair
+        if len(incoming) == 1:
+            (S,) = incoming.values()
         else:
-            child_blocks, cw = rules[node.kind][0](node, block, w)
-            blocks.extend(child_blocks)
-            children = [(op, b, cw, (id(op), id(b), cw), None) for op, b in zip(node.operands, child_blocks)]
-            stack.append((node, block, w, key, children))
-            stack.extend(children)
-    return memo[root[3]]
+            S = np.concatenate(list(incoming.values()))
+            pair[2], end = {}, 0
+            for i, B in incoming.items():
+                pair[2][i] = slice(end, end + len(B))
+                end += len(B)
+        if type(X) is not LazyNode:
+            pair[3] = X._support_batch(S, ctx, w)
+            continue
+        split, combine = rules[X.kind]
+        blocks, cw = split(X, S, w)
+        links = []
+        for op, B in zip(X.operands, blocks):
+            key = (id(op), cw)
+            child = pairs.get(key)
+            if child is None:
+                child = pairs[key] = [op, {}, None, None]
+                heappush(heap, (-op._height if type(op) is LazyNode else 0, id(op), cw, child))
+            child[1][id(B)] = B
+            links.append((child, id(B)))
+        down.append((X, w, S, links, combine, pair))
+    for X, w, S, links, combine, pair in reversed(down):
+        pair[3] = combine(X, S, [c[3] if c[2] is None else _rows(c, i) for c, i in links], w, ctx)
+    return root[3]
+
+
+def _rows(pair, block_id):
+    # The rows of a pair's stacked result that answer one of its incoming blocks.
+    where, (values, V) = pair[2][block_id], pair[3]
+    return values[where], (None if V is None else V[where])
 
 
 def lazy_support_function(d, T: ConvexSet, ctx: ToleranceContext | None = None, mode: str = "exact") -> float:

@@ -51,7 +51,7 @@ def _as_vector(value, n: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.array(value, dtype=float).reshape(-1)
     # A finite sum of squares proves every entry finite (squares cannot
     # cancel); only on overflow does the elementwise check need to decide.
-    if v.size and not math.isfinite(float(v @ v)) and not np.all(np.isfinite(v)):
+    if v.size and not math.isfinite(float(v.dot(v))) and not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must have finite entries")
     if n is not None and v.size != n:
         raise DimensionMismatchError(f"{name} has dimension {v.size}, expected {n}")
@@ -256,7 +256,7 @@ class _FlatSet(ConcreteSet):
     def __init__(self, normal, offset):
         self.normal = _as_vector(normal, name="normal")
         self.offset = float(offset)
-        if not self.normal.any():
+        if not np.count_nonzero(self.normal):
             raise ValueError(f"{self._name} normal must be nonzero")
 
     @property
@@ -412,7 +412,7 @@ class Hyperrectangle(AbstractHyperrectangle):
     def __init__(self, center, radius):
         self.center = _as_vector(center, name="center")
         radius = _as_vector(radius, self.center.size, "radius")
-        if np.any(radius < 0.0):
+        if (radius < 0.0).any():
             raise ValueError("radius entries must be nonnegative")
         self._radius = radius
 

@@ -131,6 +131,23 @@ def test_template_boundedness_is_decided_once_per_template(lp_calls):
         assert isinstance(H, sc.HPolytope) == sc.HPolyhedron(list(H.constraints)).is_bounded()
 
 
+def test_template_direction_matrix_is_built_once(monkeypatch):
+    # The matrix holds generate_directions' rows, read-only, and a template
+    # builds it once however many queries read it.
+    templates = [box_template(3), oct_template(), polar_template(64), spherical_template(4),
+                 custom_template([[1.0, 2.0], [-1.0, 0.5], [0.0, -1.0]])]
+    for t in templates:
+        np.testing.assert_array_equal(t.matrix, np.array(generate_directions(t)))
+        assert not t.matrix.flags.writeable
+    calls = []
+    monkeypatch.setattr(sc.approximation, "generate_directions", lambda t: calls.append(t) or generate_directions(t))
+    t, X = polar_template(16), sc.BallInf([0.5, -0.5], 1.0)
+    first = overapproximate_template(X, t)
+    for _ in range(3):
+        assert overapproximate_template(X, t).constraints == first.constraints
+    assert len(calls) == 1
+
+
 def test_template_of_an_empty_or_unbounded_set_raises():
     empty = sc.HPolyhedron([sc.HalfSpace([1.0, 0.0, 0.0], -1.0), sc.HalfSpace([-1.0, 0.0, 0.0], -1.0)])
     for t in (box_template(3), custom_template([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])):

@@ -7,6 +7,9 @@ but not the arithmetic, so the two must agree to 1e-12 relative, fixed
 before running.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -224,3 +227,93 @@ def test_shared_subtrees_reach_the_leaf_once(monkeypatch, shape):
         query()
         assert len(calls) == 1, name
     assert lazy_support_function(d, tree) == pytest.approx(expected, rel=1e-12)
+
+
+def _chain(steps, rng):
+    """``[X_0, ..., X_N]`` with ``X_k = Phi X_{k-1} + E``; every step shares its parent."""
+    X = sc.Zonotope(rng.uniform(-1, 1, 2), rng.uniform(-0.3, 0.3, (2, 3)))
+    E = sc.Hyperrectangle([0.01, 0.0], [0.002, 0.003])
+    phi = _rotation(0.05, 0.99)
+    out = [X]
+    for _ in range(steps):
+        X = make_node("MinkowskiSum", [make_node("LinearMap", [X], matrix=phi), E])
+        out.append(X)
+    return out
+
+
+@pytest.mark.parametrize("shape", ["chain_200", "flowpipe_8"])
+def test_one_leaf_call_per_leaf_and_want(monkeypatch, shape):
+    # Every block a leaf receives in one query is stacked into one call.
+    calls = []
+    for cls in (sc.sets.AbstractHyperrectangle, sc.Zonotope):
+        def counting(self, D, ctx, vectors, original=cls._support_batch):
+            calls.append((id(self), vectors))
+            return original(self, D, ctx, vectors)
+
+        monkeypatch.setattr(cls, "_support_batch", counting)
+    steps = _chain(200 if shape == "chain_200" else 8, np.random.default_rng(7))
+    tree = steps[-1] if shape == "chain_200" else make_node("Union", steps[1:])
+    leaves = {id(steps[0]), id(steps[1].operands[1])}
+    D = np.array(sc.generate_directions(polar_template(16)))
+    queries = {
+        "template": (lambda: overapproximate_template(tree, polar_template(64)), {False}),
+        "values": (lambda: tree.support_batch(D), {False}),
+        "vectors": (lambda: tree.support_batch(D, vectors=True), {True}),
+        "box": (lambda: box_approximation(tree), {False}),
+        "under": (lambda: sc.underapproximate(tree, list(D)), {True}),
+    }
+    for name, (query, wants) in queries.items():
+        calls.clear()
+        query()
+        assert sorted(calls) == sorted((leaf, w) for leaf in leaves for w in wants), name
+
+
+def _shared_dags():
+    rng = np.random.default_rng(31)
+    X = random_polygon(rng, scale=1.5, max_points=6)
+    Z = random_zonotope_2d(rng)
+    hull = make_node("SymmetricIntervalHull", [X])
+    M = rng.uniform(-1.2, 1.2, (2, 2))
+    cap = make_node("Intersection", [make_node("MinkowskiSum", [X, Z]), sc.Hyperrectangle(X.vertices[0], [1.0, 0.8])])
+    mapped = make_node("LinearMap", [cap], matrix=M)
+    return {
+        # X is reached with vectors (directly) and without (under the hull).
+        "hull_and_leaf": make_node("MinkowskiSum", [hull, X]),
+        "hull_of_sum_and_leaf": make_node("MinkowskiSumArray", [make_node("SymmetricIntervalHull", [make_node("MinkowskiSum", [X, Z])]), X, Z]),
+        # One intersection reached directly and through a map, under a sum and a union.
+        "shared_intersection": make_node("ConvexHullUnion", [
+            make_node("MinkowskiSum", [mapped, cap]),
+            make_node("Translation", [make_node("Union", [cap, mapped])], vector=[0.3, -0.2]),
+        ]),
+        "intersection_under_hull": make_node("MinkowskiSum", [make_node("SymmetricIntervalHull", [cap]), cap]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shared_dags()))
+def test_shared_dags_match_per_direction_reference(name):
+    tree = _shared_dags()[name]
+    rng = np.random.default_rng(5)
+    D = np.array([random_unit_direction(rng) for _ in range(12)])
+    for mode in ("exact", "overapproximate"):
+        for want in (False, True):
+            part = 1 if want else 0
+            reference = [_outcome(lambda: reference_support_pair(d, tree, CTX, mode, want)[part]) for d in D]
+            batch = _outcome(lambda: _evaluate(tree, D, CTX, mode, want)[part])
+            failures = [r for r in reference if isinstance(r, type)]
+            if failures:
+                assert batch is failures[0], (mode, want)
+            else:
+                _assert_same(batch, np.array(reference))
+
+
+def test_copies_and_pickles_of_a_chain_answer_the_same():
+    tree = _chain(40, np.random.default_rng(3))[-1]
+    flowpipe = make_node("Union", _chain(6, np.random.default_rng(4))[1:])
+    D = np.array(sc.generate_directions(polar_template(32)))
+    for T in (tree, flowpipe):
+        values, vectors = T.support_batch(D, vectors=True)
+        for twin in (copy.deepcopy(T), pickle.loads(pickle.dumps(T))):
+            assert twin is not T and twin == T and twin.depth() == T.depth()
+            twin_values, twin_vectors = twin.support_batch(D, vectors=True)
+            np.testing.assert_array_equal(twin_values, values)
+            np.testing.assert_array_equal(twin_vectors, vectors)
