@@ -144,6 +144,9 @@ def _to_polygon(X: ConcreteSet, ctx: ToleranceContext) -> VPolygon:
         return X
     if X.dim != 2:
         raise UnsupportedOperationError("polygon conversion needs a 2-D set")
+    if isinstance(X, (Zonotope, HPolyhedron)):
+        # Their 2-D vertex lists come out of _convex_hull_2d already.
+        return VPolygon._from_hull(X.vertices_list(ctx))
     return VPolygon(X.vertices_list(ctx))
 
 

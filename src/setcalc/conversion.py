@@ -34,11 +34,14 @@ def tovrep(X: HPolytope, ctx: ToleranceContext | None = None) -> VPolygon:
     """Vertex representation of a bounded, nonempty 2-D H-polytope.
 
     Vertices come from pairwise constraint intersections filtered by
-    feasibility, so redundant constraints are harmless.
+    feasibility, so redundant constraints are harmless.  When the normals
+    bound the region no LP is solved, and finding no vertex raises
+    ``EmptySetError``; otherwise one feasibility LP tells an empty region
+    from an unbounded one.  The vertices are hulled once.
     """
     if X.dim != 2:
         raise UnsupportedOperationError("tovrep is only implemented in dimension 2")
-    return VPolygon(X.vertices_list(ctx))
+    return _to_polygon(X, ctx)
 
 
 def convert_to(target: type, X, ctx: ToleranceContext | None = None) -> ConcreteSet:

@@ -75,8 +75,17 @@ class LazyNode(ConvexSet):
         raise AttributeError("LazyNode is immutable")
 
     def __reduce__(self):
-        # Copies and pickles are rebuilt through the validated constructor.
-        return make_node, (self.kind, self.operands, self.matrix, self.vector)
+        # A flat post-order list (an operand is a concrete set or the index of
+        # an earlier entry) copies and pickles deep trees without recursion
+        # and keeps shared nodes shared; make_node rebuilds it.
+        entries = []
+
+        def add(node, operands):
+            entries.append((node.kind, tuple(operands), node.matrix, node.vector))
+            return len(entries) - 1
+
+        _fold(self, lambda leaf: leaf, add)
+        return _unflatten, (entries,)
 
     @property
     def dim(self) -> int:
@@ -97,17 +106,21 @@ class LazyNode(ConvexSet):
         return "".join(out)
 
     def __eq__(self, other):
-        if not isinstance(other, LazyNode) or self.kind != other.kind:
-            return False
-        if (self.matrix is None) != (other.matrix is None):
-            return False
-        if self.matrix is not None and not np.array_equal(self.matrix, other.matrix):
-            return False
-        if (self.vector is None) != (other.vector is None):
-            return False
-        if self.vector is not None and not np.array_equal(self.vector, other.vector):
-            return False
-        return self.operands == other.operands
+        # An explicit stack compares each pair of nodes once: deep and shared
+        # trees cost no recursion.
+        seen, stack = set(), [(self, other)]
+        while stack:
+            X, Y = stack.pop()
+            if type(X) is not LazyNode:
+                if X is not Y and X != Y:
+                    return False
+            elif (id(X), id(Y)) not in seen:
+                seen.add((id(X), id(Y)))
+                if not (isinstance(Y, LazyNode) and X.kind == Y.kind and len(X.operands) == len(Y.operands)
+                        and _same_payload(X.matrix, Y.matrix) and _same_payload(X.vector, Y.vector)):
+                    return False
+                stack.extend(zip(X.operands, Y.operands))
+        return True
 
     __hash__ = None
 
@@ -147,6 +160,18 @@ def _fold(root, leaf, combine, operands=lambda X: X.operands, values=None):
             stack.append(X)
             stack.extend(op for op in reversed(ops) if id(op) not in values)
     return values[id(root)]
+
+
+def _same_payload(a, b) -> bool:
+    return a is b or a is not None and b is not None and np.array_equal(a, b)
+
+
+def _unflatten(entries) -> LazyNode:
+    """The tree of a :meth:`LazyNode.__reduce__` entry list."""
+    built = []
+    for kind, operands, matrix, vector in entries:
+        built.append(make_node(kind, [built[op] if type(op) is int else op for op in operands], matrix, vector))
+    return built[-1]
 
 
 def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:

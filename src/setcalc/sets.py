@@ -8,7 +8,8 @@ volume, sampling.  Support values use the convention
     rho(d, X) = max { d . x : x in X }
 
 with analytic formulas where the representation allows (boxes, zonotopes,
-vertex lists) and an LP fallback for half-space representations.  Unbounded
+vertex lists, bounded 2-D half-space representations through their
+vertices) and an LP fallback for other half-space representations.  Unbounded
 support directions yield ``math.inf``; querying a support *vector* there
 raises instead.
 """
@@ -646,7 +647,11 @@ class HPolyhedron(ConcreteSet):
         return [(c.normal, c.offset) for c in self.constraints]
 
     def _support_batch(self, D, ctx, vectors):
-        # One LP per direction yields both the value and the maximizer.
+        """In 2-D, when the normals bound the region, one vertex enumeration
+        answers every direction without an LP (no vertex: ``EmptySetError``).
+        Otherwise one LP per direction yields the value and the maximizer."""
+        if self.dim == 2 and _normals_bound_2d(self.constraints):
+            return _vertex_support(self._vertices_2d(ctx), D, vectors)
         constraints = self._lp_constraints()
         values, points = np.empty(len(D)), np.empty(D.shape)
         for i, d in enumerate(D):
@@ -687,23 +692,31 @@ class HPolyhedron(ConcreteSet):
             raise EmptySetError("an_element of an empty polyhedron")
         return point
 
+    def _vertices_2d(self, ctx) -> np.ndarray:
+        # For 2-D regions whose normals bound them.
+        verts = _hrep_vertices_2d(self.constraints, resolve_tolerance(ctx))
+        if verts is None:
+            raise EmptySetError("the polyhedron is empty")
+        return verts
+
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
+        """Vertices of a bounded region of dimension <= 2.  In 2-D, normals
+        that bound the region give them without an LP (no vertex:
+        ``EmptySetError``); otherwise a feasibility LP tells an empty region
+        (``EmptySetError``) from an unbounded one (``UnboundedSetError``)."""
         ctx = resolve_tolerance(ctx)
         if self.dim > 2:
             raise UnsupportedOperationError(
                 "vertex enumeration of H-representations is only implemented for dimension <= 2"
             )
+        if self.dim == 2 and _normals_bound_2d(self.constraints):
+            return [row for row in self._vertices_2d(ctx)]
         if not self.is_bounded(ctx):
             raise UnboundedSetError("vertex enumeration of an unbounded polyhedron")
-        if self.dim == 1:
-            (hi,), (lo,) = _axis_extents(self, ctx, "enumerate")
-            if lo > hi + ctx.atol:
-                raise EmptySetError("vertex enumeration of an empty polyhedron")
-            return [np.array([lo])] if hi - lo <= ctx.atol else [np.array([lo]), np.array([hi])]
-        verts = _hrep_vertices_2d(self.constraints, ctx)
-        if verts is None:
+        (hi,), (lo,) = _axis_extents(self, ctx, "enumerate")
+        if lo > hi + ctx.atol:
             raise EmptySetError("vertex enumeration of an empty polyhedron")
-        return [row for row in verts]
+        return [np.array([lo])] if hi - lo <= ctx.atol else [np.array([lo]), np.array([hi])]
 
     def translate(self, v) -> "HPolyhedron":
         v = _as_vector(v, self.dim, "shift")
@@ -760,11 +773,16 @@ def _hrep_vertices_2d(constraints, ctx: ToleranceContext) -> np.ndarray | None:
     # The (pairs x m) feasibility test runs in blocks of at most 8
     # constraints spread through the list, each on the points that passed
     # the blocks before: the same verdicts, with most entries never computed.
-    # The slack is 10 atol: at 1 atol, rounding drops true vertices of thin regions.
+    # The slack is 10 atol plus 16 eps |a| |p|, the rounding of a . p at a
+    # far vertex p: with less, thin regions lose true vertices.
     loose = ToleranceContext(10.0 * ctx.atol)
+    rounding = 16.0 * np.finfo(float).eps * np.hypot(P[:, :1], P[:, 1:])
+    norms = np.hypot(A[:, 0], A[:, 1])
     k = -(-len(b) // 8)
     for s in range(k):
-        P = P[np.all(within(P[:, :1] * A[s::k, 0] + P[:, 1:] * A[s::k, 1], b[s::k], A[s::k], loose), axis=1)]
+        offsets = b[s::k] + rounding * norms[s::k]
+        keep = np.all(within(P[:, :1] * A[s::k, 0] + P[:, 1:] * A[s::k, 1], offsets, A[s::k], loose), axis=1)
+        P, rounding = P[keep], rounding[keep]
     return _convex_hull_2d(P) if len(P) else None
 
 
@@ -787,6 +805,14 @@ class VPolygon(ConcreteSet):
                 raise ValueError("polygon vertices must be finite")
             self.vertices = _convex_hull_2d(pts)
         self.vertices.flags.writeable = False
+
+    @classmethod
+    def _from_hull(cls, vertices) -> "VPolygon":
+        # Vertices that _convex_hull_2d returned (ambient tolerance): no second hull.
+        P = object.__new__(cls)
+        P.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
+        P.vertices.flags.writeable = False
+        return P
 
     @property
     def dim(self) -> int:

@@ -2,8 +2,9 @@
 
 This is the vertex enumeration as it was before the vectorized kernel: one
 Python iteration per constraint pair, each candidate tested against every
-constraint.  Tests compare ``sets._hrep_vertices_2d`` against it; the library
-does not use it.
+constraint with the kernel's slack (10 atol as a distance, plus the rounding
+of ``a . x``, 16 eps |a| |x|).  Tests compare ``sets._hrep_vertices_2d``
+against it; the library does not use it.
 """
 
 import numpy as np
@@ -23,7 +24,8 @@ def reference_hrep_vertices_2d(constraints, ctx):
             if abs(det) <= 1e-14 * max(1.0, float(np.max(np.abs(a1))) * float(np.max(np.abs(a2)))):
                 continue
             x = np.array([(b1 * a2[1] - b2 * a1[1]) / det, (a1[0] * b2 - a2[0] * b1) / det])
-            if all(float(c.normal @ x) <= c.offset + ctx.atol * 10.0 for c in items):
+            slack = 10.0 * ctx.atol + 16.0 * np.finfo(float).eps * float(np.hypot(*x))
+            if all(float(c.normal @ x) <= c.offset + slack * float(np.hypot(*c.normal)) for c in items):
                 candidates.append(x)
     if not candidates:
         return None

@@ -317,3 +317,35 @@ def test_copies_and_pickles_of_a_chain_answer_the_same():
             twin_values, twin_vectors = twin.support_batch(D, vectors=True)
             np.testing.assert_array_equal(twin_values, values)
             np.testing.assert_array_equal(twin_vectors, vectors)
+
+
+def _ids(T):
+    """Ids of the distinct objects in the tree, lazy nodes and leaves."""
+    seen, stack = set(), [T]
+    while stack:
+        X = stack.pop()
+        if id(X) not in seen:
+            seen.add(id(X))
+            stack.extend(getattr(X, "operands", ()))
+    return seen
+
+
+def test_deep_and_shared_trees_copy_pickle_and_compare():
+    # 10^4 steps and a 200-level DAG of 2^200 paths: far past the default
+    # recursion limit, and exponential for a walk that does not share.
+    chain = _chain(10_000, np.random.default_rng(6))[-1]
+    dag = sc.BallInf([0.0, 0.0], 1.0)
+    for k in range(200):
+        dag = make_node("MinkowskiSum", [make_node("Translation", [dag], vector=[k, 0.0]), dag])
+    d = np.array([[0.6, 0.8]])
+    for T in (chain, dag):
+        for twin in (copy.deepcopy(T), pickle.loads(pickle.dumps(T))):
+            assert twin is not T and twin == T and T == twin and twin.depth() == T.depth()
+            # Shared nodes and leaves stay shared: as many distinct objects.
+            assert len(_ids(twin)) == len(_ids(T))
+            np.testing.assert_array_equal(twin.support_batch(d)[0], T.support_batch(d)[0])
+    assert _chain(10_000, np.random.default_rng(6))[-1] == chain
+    # Another initial set: the trees differ only at the deepest leaf.
+    deep_mismatch = _chain(10_000, np.random.default_rng(7))[-1]
+    assert deep_mismatch != chain and chain != deep_mismatch
+    assert dag != make_node("MinkowskiSum", [dag.operands[0], dag.operands[0]])

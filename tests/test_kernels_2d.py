@@ -128,17 +128,17 @@ def test_is_bounded_2d_empty_raises_and_unconstrained_is_unbounded():
     assert not sc.HPolyhedron([], dim=2).is_bounded()
 
 
-def test_tovrep_and_2d_is_bounded_run_one_lp(lp_calls):
+def test_tovrep_runs_no_lp_and_2d_is_bounded_and_the_wedge_one_each(lp_calls):
     angles = np.arange(8) * (math.pi / 4.0)
     octagon = sc.tohrep(sc.VPolygon(np.column_stack((np.cos(angles), np.sin(angles)))))
     assert sc.tovrep(octagon).num_vertices == 8
-    assert len(lp_calls) == 1
+    assert len(lp_calls) == 0
     assert octagon.is_bounded()
-    assert len(lp_calls) == 2
+    assert len(lp_calls) == 1
     wedge = sc.HPolytope([sc.HalfSpace([1.0, 0.0], 1.0), sc.HalfSpace([0.0, 1.0], 1.0)])
     with pytest.raises(UnboundedSetError):
         sc.tovrep(wedge)
-    assert len(lp_calls) == 3
+    assert len(lp_calls) == 2
 
 
 def test_tovrep_128_constraints():
@@ -161,20 +161,21 @@ def test_small_triangle_keeps_its_vertices():
 
 
 def test_tovrep_matches_stepwise_reference_on_random_hreps():
-    # tovrep's outcome spelled out: an emptiness LP, the normals' angular
-    # gaps for boundedness, then the pairwise H-to-V reference.
+    # tovrep's outcome spelled out: where the normals' angular gaps bound the
+    # region, the pairwise H-to-V reference (no vertex: empty); elsewhere an
+    # emptiness LP tells empty from unbounded.
     ctx = resolve_tolerance(None)
     rng = np.random.default_rng(77)
     seen = set()
     for _ in range(400):
         constraints = _random_hrep(rng, int(rng.integers(1, 40)))
-        if not setcalc.numerics.is_feasible([(c.normal, c.offset) for c in constraints], ctx):
-            expected = EmptySetError
-        elif not setcalc.sets._normals_bound_2d(constraints):
-            expected = UnboundedSetError
-        else:
+        if setcalc.sets._normals_bound_2d(constraints):
             vertices = reference_hrep_vertices_2d(constraints, ctx)
             expected = EmptySetError if vertices is None else sc.VPolygon(vertices)
+        elif not setcalc.numerics.is_feasible([(c.normal, c.offset) for c in constraints], ctx):
+            expected = EmptySetError
+        else:
+            expected = UnboundedSetError
         seen.add(expected if isinstance(expected, type) else sc.VPolygon)
         if isinstance(expected, sc.VPolygon):
             assert sc.tovrep(sc.HPolytope(constraints)) == expected
@@ -184,12 +185,12 @@ def test_tovrep_matches_stepwise_reference_on_random_hreps():
     assert seen == {sc.VPolygon, EmptySetError, UnboundedSetError}
 
 
-def test_hpolytope_support_vectors_solve_one_lp_per_direction(lp_calls):
+def test_bounded_2d_hpolytope_support_vectors_solve_no_lp(lp_calls):
     angles = np.arange(8) * (math.pi / 4.0)
     octagon = sc.tohrep(sc.VPolygon(np.column_stack((np.cos(angles), np.sin(angles)))))
     inner = sc.underapproximate(octagon, sc.generate_directions(sc.polar_template(8)))
-    assert len(lp_calls) == 8
+    assert len(lp_calls) == 0
     assert inner.num_vertices == 8
     values, vectors = octagon.support_batch(np.eye(2), vectors=True)
-    assert len(lp_calls) == 10
+    assert len(lp_calls) == 0
     assert np.allclose(np.einsum("ij,ij->i", vectors, np.eye(2)), values)
