@@ -22,7 +22,6 @@ from .errors import EmptySetError, UnboundedSetError, UnsupportedOperationError
 from .numerics import LinearProgram, LpStatus, ToleranceContext, resolve_tolerance, solve_lp
 from .sets import (
     ConvexSet,
-    HalfSpace,
     HPolyhedron,
     HPolytope,
     Hyperrectangle,
@@ -83,8 +82,8 @@ class DirectionTemplate:
         ``{x : d . x <= 1 for every direction d}`` is bounded.  The template
         polytope of a nonempty set with finite support values has the same
         recession cone, so it is bounded exactly when this holds."""
-        region = [HalfSpace(d, 1.0) for d in self.matrix]
-        return _normals_bound_2d(region) if self.dim == 2 else HPolyhedron(region).is_bounded()
+        D = self.matrix
+        return _normals_bound_2d(D) if self.dim == 2 else HPolyhedron._from_arrays(D, np.ones(len(D))).is_bounded()
 
 
 def box_template(n: int) -> DirectionTemplate:
@@ -164,8 +163,7 @@ def overapproximate_template(X: ConvexSet, t: DirectionTemplate, ctx: ToleranceC
     values, _ = X.support_batch(t.matrix, ctx)
     if np.any(values == math.inf):
         raise UnboundedSetError("support of the input set is unbounded along a template direction")
-    constraints = [HalfSpace(d, value) for d, value in zip(t.matrix, values)]
-    return (HPolytope if t.bounded else HPolyhedron)(constraints)
+    return (HPolytope if t.bounded else HPolyhedron)._from_arrays(t.matrix, values)
 
 
 def box_approximation(X: ConvexSet, ctx: ToleranceContext | None = None) -> Hyperrectangle:

@@ -117,11 +117,10 @@ def serialize_node(X) -> dict:
         raise UnsupportedOperationError(f"cannot serialize {kind}")
     out = {"set": kind}
     for key in _SET_FIELDS[kind][1]:
-        value = getattr(X, key)
         out[key] = (
-            [{"normal": c.normal.tolist(), "offset": c.offset} for c in value]
+            [{"normal": a.tolist(), "offset": float(c)} for a, c in zip(X.A, X.b)]
             if key == "constraints"
-            else np.asarray(value).tolist()
+            else np.asarray(getattr(X, key)).tolist()
         )
     return out
 
@@ -249,7 +248,7 @@ def cmd_overapprox(args) -> int:
         rows = result.vertices_list()
     else:
         result = approximation.overapproximate_template(tree, _parse_template(args.template, tree.dim))
-        rows = [[*c.normal, c.offset] for c in result.constraints_list()]
+        rows = np.column_stack((result.A, result.b))
     _write_out(serialize_doc(result) + "\n" if args.format == "json" else _csv(rows), args.out)
     return EXIT_OK
 

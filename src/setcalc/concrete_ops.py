@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptySetError, UnsupportedOperationError
-from .numerics import ToleranceContext, is_feasible, resolve_tolerance, within
+from .numerics import ToleranceContext, resolve_tolerance, within
 from .sets import (
     AbstractHyperrectangle,
     ConcreteSet,
@@ -28,6 +28,7 @@ from .sets import (
     VPolygon,
     VPolytope,
     Zonotope,
+    _row_products,
 )
 
 
@@ -355,9 +356,7 @@ def linear_map(M, X: ConcreteSet, ctx: ToleranceContext | None = None) -> Concre
             return HalfSpace(X.normal @ Minv, X.offset)
         if isinstance(X, Hyperplane):
             return Hyperplane(X.normal @ Minv, X.offset)
-        return type(X)(
-            [HalfSpace(c.normal @ Minv, c.offset) for c in X.constraints], dim=X.dim
-        )
+        return type(X)._from_arrays(_row_products(X.A, Minv), X.b)
     raise UnsupportedOperationError(f"linear_map is not implemented for {type(X).__name__}")
 
 
@@ -367,7 +366,8 @@ def translate(X: ConcreteSet, v, ctx: ToleranceContext | None = None) -> Concret
 
 
 def is_empty(X: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
-    """Emptiness test (feasibility LP for H-representations)."""
+    """Emptiness test.  H-representations whose 2-D normals bound them are
+    decided by their vertex enumeration, other ones by a feasibility LP."""
     if isinstance(X, (AbstractHyperrectangle, Zonotope, HalfSpace, Hyperplane)):
         return False
     if isinstance(X, VPolygon):
@@ -375,19 +375,16 @@ def is_empty(X: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
     if isinstance(X, VPolytope):
         return X.vertices.shape[0] == 0
     if isinstance(X, HPolyhedron):
-        if not X.constraints:
-            return False
-        return not is_feasible([(c.normal, c.offset) for c in X.constraints], ctx)
+        return X._is_empty(ctx)
     raise UnsupportedOperationError(f"is_empty is not implemented for {type(X).__name__}")
 
 
 def is_subset(X: ConvexSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
     """X within Y, decided by support of X against every constraint of Y."""
     _require_same_dim(X, Y)
-    constraints = Y.constraints_list(ctx)
-    A = np.array([c.normal for c in constraints]).reshape(-1, X.dim)
+    A, b = Y._hrep(ctx)
     values, _ = X.support_batch(A, ctx)
-    return bool(np.all(within(values, np.array([c.offset for c in constraints]), A, ctx)))
+    return bool(np.all(within(values, b, A, ctx)))
 
 
 def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
@@ -404,7 +401,8 @@ def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = N
         minimum = -Y.support_function(-X.normal, ctx)
         return not within(minimum, X.offset, X.normal, ctx)
     if _has_constraints(X) and _has_constraints(Y):
-        return is_empty(HPolyhedron(X.constraints_list(ctx) + Y.constraints_list(ctx), dim=X.dim), ctx)
+        (AX, bX), (AY, bY) = X._hrep(ctx), Y._hrep(ctx)
+        return is_empty(HPolyhedron._from_arrays(np.vstack((AX, AY)), np.concatenate((bX, bY))), ctx)
     raise UnsupportedOperationError(
         f"is_disjoint is not implemented for {type(X).__name__} and {type(Y).__name__}"
     )

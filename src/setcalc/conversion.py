@@ -27,7 +27,7 @@ def tohrep(X: ConcreteSet, ctx: ToleranceContext | None = None) -> HPolytope:
         raise UnsupportedOperationError("tohrep is only implemented in dimension 2")
     if isinstance(X, HPolytope):
         return X
-    return HPolytope(_to_polygon(X, ctx).constraints_list(ctx))
+    return HPolytope._from_arrays(*_to_polygon(X, ctx)._hrep(ctx))
 
 
 def tovrep(X: HPolytope, ctx: ToleranceContext | None = None) -> VPolygon:
@@ -77,7 +77,7 @@ def convert_to(target: type, X, ctx: ToleranceContext | None = None) -> Concrete
             return _as_zonotope(X)
     elif target is HPolytope:
         if isinstance(X, AbstractHyperrectangle):
-            return HPolytope(X.constraints_list(ctx))
+            return HPolytope._from_arrays(*X._hrep(ctx))
         if isinstance(X, VPolygon):
             return tohrep(X, ctx)
     elif target is VPolygon:

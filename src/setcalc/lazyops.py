@@ -362,12 +362,10 @@ def _on_polygons(rule):
 
 
 def _operand_hrep_2d(X, values, ctx) -> HPolyhedron:
-    # Concrete operands contribute their own constraint lists (so half-space
+    # Concrete operands contribute their own constraint rows (so half-space
     # and H-polyhedron operands are fine); lazy ones the edges of their polygon.
-    constraints = []
-    for op, value in zip(X.operands, values):
-        constraints.extend((tohrep(value, ctx) if type(op) is LazyNode else value).constraints_list(ctx))
-    return HPolyhedron(constraints, dim=2)
+    A, b = zip(*[(tohrep(v, ctx) if type(op) is LazyNode else v)._hrep(ctx) for op, v in zip(X.operands, values)])
+    return HPolyhedron._from_arrays(np.vstack(A), np.concatenate(b))
 
 
 def _intersection_set(X, values, ctx):

@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DegeneratePolygonError,
     DimensionMismatchError,
     EmptySetError,
     SamplingBudgetError,
@@ -220,10 +221,14 @@ class ConcreteSet(ConvexSet):
             f"vertices_list is not supported for {type(self).__name__}"
         )
 
-    def constraints_list(self, ctx: ToleranceContext | None = None) -> list["HalfSpace"]:
+    def _hrep(self, ctx) -> tuple[np.ndarray, np.ndarray]:
+        """``(A, b)`` with the set equal to ``{x : A x <= b}``."""
         raise UnsupportedOperationError(
             f"constraints_list is not supported for {type(self).__name__}"
         )
+
+    def constraints_list(self, ctx: ToleranceContext | None = None) -> list["HalfSpace"]:
+        return [HalfSpace(a, c) for a, c in zip(*self._hrep(ctx))]
 
     def volume(self) -> float:
         raise UnsupportedOperationError(
@@ -306,8 +311,8 @@ class HalfSpace(_FlatSet):
 
     _name, _one_sided = "half-space", True
 
-    def constraints_list(self, ctx=None) -> list["HalfSpace"]:
-        return [self]
+    def _hrep(self, ctx):
+        return self.normal[None], np.array([self.offset])
 
     def is_bounded(self, ctx=None) -> bool:
         return False
@@ -318,8 +323,8 @@ class Hyperplane(_FlatSet):
 
     _name, _one_sided = "hyperplane", False
 
-    def constraints_list(self, ctx=None) -> list[HalfSpace]:
-        return [HalfSpace(self.normal, self.offset), HalfSpace(-self.normal, -self.offset)]
+    def _hrep(self, ctx):
+        return np.array([self.normal, -self.normal]), np.array([self.offset, -self.offset])
 
     def is_bounded(self, ctx=None) -> bool:
         return self.dim == 1
@@ -378,15 +383,13 @@ class AbstractHyperrectangle(ConcreteSet):
                 out.append(vertex)
         return out
 
-    def constraints_list(self, ctx=None) -> list[HalfSpace]:
-        out = []
+    def _hrep(self, ctx):
+        # Rows e_i <= high_i and -e_i <= -low_i, interleaved by axis.
         n = self.dim
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            out.append(HalfSpace(e, float(self.high[i])))
-            out.append(HalfSpace(-e, -float(self.low[i])))
-        return out
+        A, b = np.empty((2 * n, n)), np.empty(2 * n)
+        A[0::2], A[1::2] = np.eye(n), -np.eye(n)
+        b[0::2], b[1::2] = self.high, -self.low
+        return A, b
 
     def volume(self) -> float:
         return float(np.prod(2.0 * self.radius_vector))
@@ -576,21 +579,19 @@ class Zonotope(ConcreteSet):
         points = np.concatenate(([start], start + np.cumsum(np.concatenate((2.0 * G, -2.0 * G)), axis=0)))
         return [row for row in _convex_hull_2d(points)]
 
-    def constraints_list(self, ctx=None) -> list[HalfSpace]:
-        if self.dim == 1:
-            verts = self.vertices_list(ctx)
-            lo, hi = float(verts[0][0]), float(verts[-1][0])
-            return [HalfSpace(np.array([1.0]), hi), HalfSpace(np.array([-1.0]), -lo)]
-        if self.dim != 2:
+    def _hrep(self, ctx):
+        if self.dim > 2:
             raise UnsupportedOperationError(
                 "zonotope constraint lists are only implemented for dimension <= 2"
             )
         verts = self.vertices_list(ctx)
+        if self.dim == 1:
+            return np.array([[1.0], [-1.0]]), np.array([verts[-1][0], -verts[0][0]])
         if len(verts) == 1:
-            return Hyperrectangle(verts[0], np.zeros(2)).constraints_list()
+            return Hyperrectangle(verts[0], np.zeros(2))._hrep(ctx)
         if len(verts) == 2:
-            return _segment_constraints_2d(verts[0], verts[1])
-        return VPolygon(verts).constraints_list(ctx)
+            return _segment_hrep_2d(verts[0], verts[1])
+        return VPolygon(verts)._hrep(ctx)
 
     def is_bounded(self, ctx=None) -> bool:
         return True
@@ -604,7 +605,10 @@ class Zonotope(ConcreteSet):
 
 
 class HPolyhedron(ConcreteSet):
-    """Finite intersection of half-spaces; possibly unbounded or empty."""
+    """Finite intersection of half-spaces ``{x : A x <= b}``; possibly unbounded
+    or empty.  Queries read the read-only arrays ``A`` (m x n, the normals) and
+    ``b`` (m, the offsets); ``constraints`` views the same rows as a tuple of
+    :class:`HalfSpace`, built on first read (or kept from the constructor)."""
 
     def __init__(self, constraints, dim: int | None = None):
         constraints = tuple(constraints)
@@ -624,33 +628,61 @@ class HPolyhedron(ConcreteSet):
             raise ValueError("an unconstrained polyhedron needs an explicit dim")
         else:
             n = int(dim)
-        self.constraints = constraints
-        self._dim = n
+        A = np.array([c.normal for c in constraints], dtype=float).reshape(len(constraints), n)
+        b = np.array([c.offset for c in constraints], dtype=float)
+        A.flags.writeable = b.flags.writeable = False
+        self.A, self.b, self._constraints = A, b, constraints
+
+    @classmethod
+    def _from_arrays(cls, A, b) -> "HPolyhedron":
+        """``{x : A x <= b}`` from copies of an (m, n) matrix and an m-vector, with the
+        constructor's checks on the rows; zero rows make the whole space R^n."""
+        A, b = np.array(A, dtype=float), np.array(b, dtype=float)
+        if A.ndim != 2 and A.size == 0:
+            raise ValueError("an unconstrained polyhedron needs an explicit dim")
+        if A.ndim != 2 or b.shape != A.shape[:1]:
+            raise DimensionMismatchError(f"normals of shape {A.shape} do not match offsets of shape {b.shape}")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("normal must have finite entries")
+        if not A.any(axis=1).all():
+            raise ValueError("half-space normal must be nonzero")
+        A.flags.writeable = b.flags.writeable = False
+        P = object.__new__(cls)
+        P.A, P.b, P._constraints = A, b, None
+        return P
+
+    def __reduce__(self):
+        return type(self)._from_arrays, (self.A, self.b)
+
+    @property
+    def constraints(self) -> tuple[HalfSpace, ...]:
+        if self._constraints is None:
+            self.__dict__["_constraints"] = tuple(HalfSpace(a, c) for a, c in zip(self.A, self.b))
+        return self._constraints
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self.A.shape[1]
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.constraints)!r})"
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self._dim == other._dim
-            and self.constraints == other.constraints
-        )
+        return type(other) is type(self) and np.array_equal(self.A, other.A) and np.array_equal(self.b, other.b)
 
     __hash__ = None
 
+    def _hrep(self, ctx):
+        return self.A, self.b
+
     def _lp_constraints(self) -> list[tuple[np.ndarray, float]]:
-        return [(c.normal, c.offset) for c in self.constraints]
+        return list(zip(self.A, self.b))
 
     def _support_batch(self, D, ctx, vectors):
         """In 2-D, when the normals bound the region, one vertex enumeration
         answers every direction without an LP (no vertex: ``EmptySetError``).
         Otherwise one LP per direction yields the value and the maximizer."""
-        if self.dim == 2 and _normals_bound_2d(self.constraints):
+        if self.dim == 2 and _normals_bound_2d(self.A):
             return _vertex_support(self._vertices_2d(ctx), D, vectors)
         constraints = self._lp_constraints()
         values, points = np.empty(len(D)), np.empty(D.shape)
@@ -668,24 +700,27 @@ class HPolyhedron(ConcreteSet):
 
     def contains(self, x, ctx=None) -> bool:
         x = _as_vector(x, self.dim, "point")
-        A = np.array([c.normal for c in self.constraints]).reshape(-1, self.dim)
-        return bool(np.all(within(A.dot(x), np.array([c.offset for c in self.constraints]), A, ctx)))
+        return bool(np.all(within(self.A.dot(x), self.b, self.A, ctx)))
 
-    def constraints_list(self, ctx=None) -> list[HalfSpace]:
-        return list(self.constraints)
+    def _is_empty(self, ctx) -> bool:
+        """Emptiness: in 2-D, where the normals bound the region, by the vertex
+        enumeration (points within 10 atol count); otherwise by a feasibility LP."""
+        if self.dim == 2 and _normals_bound_2d(self.A):
+            return _hrep_vertices_2d(self.A, self.b, resolve_tolerance(ctx)) is None
+        return bool(len(self.b)) and not is_feasible(self._lp_constraints(), ctx)
 
     def is_bounded(self, ctx=None) -> bool:
         if self.dim == 2:
-            if self.constraints and not is_feasible(self._lp_constraints(), ctx):
+            if self._is_empty(ctx):
                 raise EmptySetError("is_bounded of an empty polyhedron")
-            return _normals_bound_2d(self.constraints)
+            return _normals_bound_2d(self.A)
         for e in np.eye(self.dim):
             if self.support_function(e, ctx) == math.inf or self.support_function(-e, ctx) == math.inf:
                 return False
         return True
 
     def an_element(self, ctx=None) -> np.ndarray:
-        if not self.constraints:
+        if not len(self.b):
             return np.zeros(self.dim)
         point = feasible_point(self._lp_constraints(), ctx)
         if point is None:
@@ -694,7 +729,7 @@ class HPolyhedron(ConcreteSet):
 
     def _vertices_2d(self, ctx) -> np.ndarray:
         # For 2-D regions whose normals bound them.
-        verts = _hrep_vertices_2d(self.constraints, resolve_tolerance(ctx))
+        verts = _hrep_vertices_2d(self.A, self.b, resolve_tolerance(ctx))
         if verts is None:
             raise EmptySetError("the polyhedron is empty")
         return verts
@@ -709,7 +744,7 @@ class HPolyhedron(ConcreteSet):
             raise UnsupportedOperationError(
                 "vertex enumeration of H-representations is only implemented for dimension <= 2"
             )
-        if self.dim == 2 and _normals_bound_2d(self.constraints):
+        if self.dim == 2 and _normals_bound_2d(self.A):
             return [row for row in self._vertices_2d(ctx)]
         if not self.is_bounded(ctx):
             raise UnboundedSetError("vertex enumeration of an unbounded polyhedron")
@@ -720,56 +755,57 @@ class HPolyhedron(ConcreteSet):
 
     def translate(self, v) -> "HPolyhedron":
         v = _as_vector(v, self.dim, "shift")
-        return type(self)([c.translate(v) for c in self.constraints], dim=self.dim)
+        return type(self)._from_arrays(self.A, self.b + _row_products(self.A, v))
 
 
 class HPolytope(HPolyhedron):
     """H-representation polytope; carries the promise of boundedness."""
 
 
-def _segment_constraints_2d(a: np.ndarray, b: np.ndarray) -> list[HalfSpace]:
+def _segment_hrep_2d(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u = b - a
     n = np.array([-u[1], u[0]])
-    return [
-        HalfSpace(u, float(u @ b)),
-        HalfSpace(-u, -float(u @ a)),
-        HalfSpace(n, float(n @ a)),
-        HalfSpace(-n, -float(n @ a)),
-    ]
+    return np.array([u, -u, n, -n]), np.array([u @ b, -(u @ a), n @ a, -(n @ a)])
 
 
-def _normals_bound_2d(constraints) -> bool:
-    """Whether nonempty regions cut out by these 2-D half-planes are bounded:
-    no cyclic gap between the unit normals, sorted by angle, reaches pi.  A
-    gap over 90 degrees is read from its sine (the cross product), up to the
-    rounding of the normalization, so antiparallel normals make a gap of pi."""
-    if not constraints:
+def _row_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A[i] @ B`` for every row of A, each rounded as that row's own product
+    (``A @ B`` may round differently), so rows match per-row construction."""
+    return np.matmul(A[:, None, :], B)[:, 0]
+
+
+def _normals_bound_2d(U: np.ndarray) -> bool:
+    """Whether nonempty regions cut out by half-planes with the 2-D normals
+    in the rows of U are bounded: no cyclic gap between the unit normals,
+    sorted by angle, reaches pi.  A gap over 90 degrees is read from its sine
+    (the cross product), up to the rounding of the normalization, so
+    antiparallel normals make a gap of pi."""
+    if not len(U):
         return False
-    U = np.array([c.normal for c in constraints])
     theta = np.arctan2(U[:, 1], U[:, 0])
     order = np.argsort(theta)
-    U = U[order] / np.linalg.norm(U[order], axis=1)[:, None]
-    V = np.roll(U, -1, axis=0)
-    gap = np.diff(theta[order], append=theta[order[0]] + 2.0 * math.pi)
+    theta, U = theta[order], U[order]
+    U = U / np.sqrt((U * U).sum(axis=1))[:, None]
+    V = np.concatenate((U[1:], U[:1]))
+    gap = np.append(theta[1:], theta[0] + 2.0 * math.pi) - theta
     sine = U[:, 0] * V[:, 1] - U[:, 1] * V[:, 0]
     return not np.any(np.where((U * V).sum(axis=1) < 0.0, sine <= 1e-14, gap > math.pi))
 
 
-def _hrep_vertices_2d(constraints, ctx: ToleranceContext) -> np.ndarray | None:
-    """Vertices of a bounded 2-D H-representation.
+def _hrep_vertices_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> np.ndarray | None:
+    """Vertices of the bounded 2-D region ``{x : A x <= b}``.
 
     Intersects every constraint pair, keeps the feasible points, and hulls
     them, so redundant constraints do not change the outcome.  Returns None
     for an empty region.
     """
-    A = np.array([c.normal for c in constraints], dtype=float).reshape(-1, 2)
-    b = np.array([c.offset for c in constraints], dtype=float)
-    i, j = np.triu_indices(len(b), 1)
-    a1, a2, b1, b2 = A[i], A[j], b[i], b[j]
-    det = a1[:, 0] * a2[:, 1] - a1[:, 1] * a2[:, 0]
-    keep = np.abs(det) > 1e-14 * np.maximum(1.0, np.abs(a1).max(axis=1) * np.abs(a2).max(axis=1))
-    a1, a2, b1, b2, det = a1[keep], a2[keep], b1[keep], b2[keep], det[keep]
-    P = np.stack(((b1 * a2[:, 1] - b2 * a1[:, 1]) / det, (a1[:, 0] * b2 - a2[:, 0] * b1) / det), axis=1)
+    rows = np.arange(len(b))
+    i, j = np.nonzero(rows[:, None] < rows)  # every pair, as np.triu_indices(m, 1) orders them
+    ax, ay, scale = A[:, 0], A[:, 1], np.abs(A).max(axis=1)
+    det = ax[i] * ay[j] - ay[i] * ax[j]
+    keep = np.abs(det) > 1e-14 * np.maximum(1.0, scale[i] * scale[j])
+    i, j, det = i[keep], j[keep], det[keep]
+    P = np.stack(((b[i] * ay[j] - b[j] * ay[i]) / det, (ax[i] * b[j] - ax[j] * b[i]) / det), axis=1)
     # The (pairs x m) feasibility test runs in blocks of at most 8
     # constraints spread through the list, each on the points that passed
     # the blocks before: the same verdicts, with most entries never computed.
@@ -860,22 +896,17 @@ class VPolygon(ConcreteSet):
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
         return [row for row in self.vertices]
 
-    def constraints_list(self, ctx=None) -> list[HalfSpace]:
-        from .errors import DegeneratePolygonError
-
+    def _hrep(self, ctx):
+        # Outward normals: each edge to the next vertex, turned a quarter clockwise.
         k = self.num_vertices
         if k < 3:
             raise DegeneratePolygonError(
                 f"polygon with {k} vertices is degenerate (collinear); no H-representation"
             )
-        out = []
-        for i in range(k):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % k]
-            edge = b - a
-            normal = np.array([edge[1], -edge[0]])
-            out.append(HalfSpace(normal, float(normal @ a)))
-        return out
+        V = self.vertices
+        E = np.roll(V, -1, axis=0) - V
+        N = np.column_stack((E[:, 1], -E[:, 0]))
+        return N, np.matmul(N[:, None, :], V[:, :, None])[:, 0, 0]
 
     def is_bounded(self, ctx=None) -> bool:
         return True
@@ -950,12 +981,12 @@ class VPolytope(ConcreteSet):
             return [row for row in _convex_hull_2d(self.vertices)]
         return [row for row in self.vertices]
 
-    def constraints_list(self, ctx=None) -> list[HalfSpace]:
+    def _hrep(self, ctx):
         if self.dim != 2:
             raise UnsupportedOperationError(
                 "constraint lists of V-polytopes are only implemented in dimension 2"
             )
-        return VPolygon(self.vertices).constraints_list(ctx)
+        return VPolygon(self.vertices)._hrep(ctx)
 
     def is_bounded(self, ctx=None) -> bool:
         return True

@@ -147,9 +147,9 @@ def _concretize_2d(X, ctx):
         region = _intersection_hrep_2d(X, ctx)
         if concrete_ops.is_empty(region, ctx):
             return VPolygon([])
-        if not _normals_bound_2d(region.constraints):
+        if not _normals_bound_2d(region.A):
             return region
-        vertices = _hrep_vertices_2d(region.constraints, ctx)
+        vertices = _hrep_vertices_2d(region.A, region.b, ctx)
         return VPolygon([]) if vertices is None else VPolygon(vertices)
     if kind == "CartesianProduct":
         children = [reference_concretize(op, ctx) for op in X.operands]
