@@ -169,13 +169,13 @@ def overapproximate_template(X: ConvexSet, t: DirectionTemplate, ctx: ToleranceC
 def box_approximation(X: ConvexSet, ctx: ToleranceContext | None = None) -> Hyperrectangle:
     """Tightest axis-aligned bounding box, from one batched query on ``[I; -I]``."""
     hi, lo = _axis_extents(X, ctx, "box")
-    return Hyperrectangle((lo + hi) / 2.0, (hi - lo) / 2.0)
+    return Hyperrectangle._from_arrays((lo + hi) / 2.0, (hi - lo) / 2.0)
 
 
 def symmetric_interval_hull(X: ConvexSet, ctx: ToleranceContext | None = None) -> Hyperrectangle:
     """Smallest origin-symmetric box containing X."""
     hi, lo = _axis_extents(X, ctx, "hull")
-    return Hyperrectangle(np.zeros(X.dim), np.maximum(np.abs(hi), np.abs(lo)))
+    return Hyperrectangle._from_arrays(np.zeros(X.dim), np.maximum(np.abs(hi), np.abs(lo)))
 
 
 def _line_intersection(d1, r1, d2, r2) -> np.ndarray:

@@ -157,7 +157,7 @@ def minkowski_sum(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None =
     if isinstance(X, AbstractHyperrectangle) and isinstance(Y, AbstractHyperrectangle):
         if isinstance(X, Interval) and isinstance(Y, Interval):
             return Interval(X.lo + Y.lo, X.hi + Y.hi)
-        return Hyperrectangle(X.center + Y.center, X.radius_vector + Y.radius_vector)
+        return Hyperrectangle._from_arrays(X.center + Y.center, X.radius_vector + Y.radius_vector)
     zono_kinds = (AbstractHyperrectangle, Zonotope)
     if isinstance(X, zono_kinds) and isinstance(Y, zono_kinds):
         ZX, ZY = _as_zonotope(X), _as_zonotope(Y)
@@ -189,7 +189,7 @@ def intersection(
         hi = np.minimum(X.high, Y.high)
         if np.any(lo > hi):
             return HPolytope(list(X.constraints_list(ctx)) + list(Y.constraints_list(ctx)))
-        return Hyperrectangle((lo + hi) / 2.0, (hi - lo) / 2.0)
+        return Hyperrectangle._from_arrays((lo + hi) / 2.0, (hi - lo) / 2.0)
 
     if isinstance(X, AbstractHyperrectangle) and isinstance(Y, HalfSpace):
         if X.dim == 2:
@@ -268,7 +268,7 @@ def intersection_fastpath(
     interval of the box.  An infeasible clamp returns an (empty) H-polytope
     carrying the contradictory bounds.
     """
-    nonzero = np.nonzero(H.normal)[0]
+    nonzero = H.normal.nonzero()[0]
     if nonzero.size != 1:
         raise UnsupportedOperationError("fast path needs a single-entry normal")
     index = int(nonzero[0])
@@ -276,32 +276,32 @@ def intersection_fastpath(
     if H.dim != X.dim:
         raise DimensionMismatchError(f"box has dimension {X.dim}, half-space {H.dim}")
 
-    # The low/high properties already return fresh arrays.
-    lo = X.low
-    hi = X.high
+    center, radius = X.center.copy(), X.radius_vector.copy()
+    lo, hi = float(center[index] - radius[index]), float(center[index] + radius[index])
     bound = H.offset / value
     if value > 0:
-        hi[index] = min(hi[index], bound)
+        hi = min(hi, bound)
     else:
-        lo[index] = max(lo[index], bound)
-    if lo[index] > hi[index]:
+        lo = max(lo, bound)
+    if lo > hi:
         n = X.dim
         e = np.zeros(n)
         e[index] = 1.0
-        bad = [HalfSpace(e, float(hi[index])), HalfSpace(-e, -float(lo[index]))]
+        bad = [HalfSpace(e, hi), HalfSpace(-e, -lo)]
         others = [
             c
             for i, c in enumerate(X.constraints_list(ctx))
             if i not in (2 * index, 2 * index + 1)
         ]
         return HPolytope(bad + others)
-    return Hyperrectangle((lo + hi) / 2.0, (hi - lo) / 2.0)
+    center[index], radius[index] = (lo + hi) / 2.0, (hi - lo) / 2.0
+    return Hyperrectangle._from_arrays(center, radius)
 
 
 def cartesian_product(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
     """Concatenate dimensions: boxes stay boxes, zonotope pairs go block-diagonal."""
     if isinstance(X, AbstractHyperrectangle) and isinstance(Y, AbstractHyperrectangle):
-        return Hyperrectangle(
+        return Hyperrectangle._from_arrays(
             np.concatenate([X.center, Y.center]),
             np.concatenate([X.radius_vector, Y.radius_vector]),
         )

@@ -71,7 +71,7 @@ def convert_to(target: type, X, ctx: ToleranceContext | None = None) -> Concrete
 
     if target is Hyperrectangle:
         if isinstance(X, AbstractHyperrectangle):
-            return Hyperrectangle(X.center, X.radius_vector)
+            return Hyperrectangle._from_arrays(X.center, X.radius_vector)
     elif target is Zonotope:
         if isinstance(X, (AbstractHyperrectangle, Zonotope)):
             return _as_zonotope(X)

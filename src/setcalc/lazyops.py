@@ -3,8 +3,8 @@
 A :class:`LazyNode` records an operation applied to child sets (lazy or
 concrete) without computing anything.  Every kind has one row in ``_KINDS``
 holding its arity and its rules.  A support query on a direction matrix runs
-in three phases: the direction blocks go down the tree, node by node in order
-of decreasing height, each node stacking what its parents sent; every leaf
+in three phases: the direction blocks go down the tree in order of
+decreasing height, each node stacking what its parents sent; every leaf
 answers all its stacked rows in one call; and each node combines its
 operands' rows on the way up.  The rules are
 
@@ -14,12 +14,17 @@ operands' rows on the way up.  The rules are
     rho(d, M X)          = rho(M^T d, X)
     rho(d, X + b)        = rho(d, X) + d . b
 
-plus a box formula for the symmetric interval hull.  An exact support value
-over a lazy binary intersection has no composition rule; exact queries
-concretize 2-D intersections and refuse otherwise, while the explicit
-overapproximate mode returns the upper bound ``min(rho(d, X), rho(d, Y))``.
-Concretization and membership walk the same rows without recursion, so deep
-and shared trees cost time linear in their distinct nodes.
+plus a box formula for the symmetric interval hull.  Maps, translations and
+sums whose other operands are concrete form segments, walked in one loop
+each way: a reach chain ``X_k = Phi X_{k-1} + E`` is the recurrence
+``rho(d, X_N) = rho((Phi^T)^N d, X_0) + sum_{i<N} rho((Phi^T)^i d, E)``, with
+every block for E answered in one call and summed by one reshape.  An exact
+support value over a lazy binary intersection has no composition rule;
+exact queries concretize 2-D intersections and refuse otherwise, while the
+explicit overapproximate mode returns the upper bound
+``min(rho(d, X), rho(d, Y))``.  Concretization and membership walk the same
+rows without recursion, so deep and shared trees cost time linear in their
+distinct nodes.
 """
 
 from __future__ import annotations
@@ -56,20 +61,29 @@ class LazyNode(ConvexSet):
     Nodes are immutable; build them with :func:`make_node`.
     """
 
-    __slots__ = ("kind", "operands", "matrix", "vector", "_dim", "_height")
+    __slots__ = ("kind", "operands", "matrix", "vector", "_dim", "_height", "_lazy")
 
     def __init__(self, kind, operands, matrix=None, vector=None, _dim=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "operands", tuple(operands))
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "_dim", _dim)
+        operands = tuple(operands)
         # A parent is higher than each operand; a concrete operand has height 0.
-        height = 0
-        for op in self.operands:
-            if type(op) is LazyNode and op._height > height:
-                height = op._height
-        object.__setattr__(self, "_height", height + 1)
+        height, lazy = 0, []
+        for i, op in enumerate(operands):
+            if type(op) is LazyNode:
+                lazy.append(i)
+                if op._height > height:
+                    height = op._height
+        # A map, or a sum with at most one lazy operand, is a segment node:
+        # support queries walk through it to the operand at this index, and
+        # every other operand is concrete.  None for any other node.
+        segment = _KINDS[kind].segment and len(lazy) < 2
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "operands", operands)
+        init(self, "matrix", matrix)
+        init(self, "vector", vector)
+        init(self, "_dim", _dim)
+        init(self, "_height", height + 1)
+        init(self, "_lazy", (lazy[0] if lazy else 0) if segment else None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LazyNode is immutable")
@@ -196,13 +210,21 @@ def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:
     if arity is not None and len(operands) != arity:
         raise ValueError(f"{kind} takes exactly {'one operand' if arity == 1 else 'two operands'}")
 
+    # A payload on a kind that takes none would be ignored by some queries
+    # and applied by others.
+    if matrix is not None and kind not in ("LinearMap", "AffineMap"):
+        raise ValueError(f"{kind} takes no matrix payload")
+    if vector is not None and kind not in ("AffineMap", "Translation"):
+        raise ValueError(f"{kind} takes no vector payload")
+
     dims = [op.dim for op in operands]
     if kind == "CartesianProduct":
         node_dim = sum(dims)
     elif kind == "LinearMap" or kind == "AffineMap":
         if matrix is None:
             raise ValueError(f"{kind} needs a matrix payload")
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+        # A copy: freezing the caller's own array would make it read-only.
+        matrix = np.array(matrix, dtype=float, ndmin=2)
         matrix.flags.writeable = False
         if matrix.shape[1] != dims[0]:
             raise DimensionMismatchError(
@@ -237,19 +259,15 @@ def _offsets(X):
 
 
 # ---------------------------------------------------------------------------
-# Support rules: ``blocks(X, D, want)`` returns the direction block each
-# operand receives and whether the operands' support vectors are needed;
-# ``combine(X, D, results, want, ctx)`` turns the operands' (values, vectors)
-# into the node's.  ``ndarray.dot`` beats ``@`` on small operands.
+# Support rules of the nodes outside segments: ``blocks(X, D, want)`` returns
+# the direction block each operand receives and whether the operands' support
+# vectors are needed; ``combine(X, D, results, want, ctx)`` turns the
+# operands' (values, vectors) into the node's.  ``ndarray.dot`` beats ``@`` on
+# small operands.
 
 
 def _same(X, D, want):
     return (D,) * len(X.operands), want
-
-
-def _mapped(X, D, want):
-    # LinearMap, AffineMap and Translation: rho(d, M Y + b) = rho(M^T d, Y) + d . b
-    return (D if X.matrix is None else D.dot(X.matrix),), want
 
 
 def _sliced(X, D, want):
@@ -299,15 +317,6 @@ def _first_max(X, D, results, want, ctx):
         return values, None
     first = np.argmax([r[0] for r in results], axis=0)
     return values, np.stack([r[1] for r in results])[first, np.arange(len(D))]
-
-
-def _affine(X, D, results, want, ctx):
-    values, V = results[0]
-    if want and X.matrix is not None:
-        V = V.dot(X.matrix.T)
-    if X.vector is None:
-        return values, V
-    return values + D.dot(X.vector), (V + X.vector if want else None)
 
 
 def _interval_hull(X, D, results, want, ctx):
@@ -441,19 +450,20 @@ def _singleton_shift(X, x, ctx):
 
 class _Kind(NamedTuple):
     arity: int | None  # operand count; None means two or more
-    support: tuple  # (blocks, combine) of the support pass
+    support: tuple | None  # (blocks, combine) of the support pass outside segments
     zonotope: Callable | None  # concretize: closed form on zonotope operands
     polygon: Callable | None  # concretize: a 2-D node from its operands' values
     member: Callable | None  # membership coroutine
     lazy_operand: bool = False  # the polygon rule reads the operand unconcretized
+    segment: bool = False  # a segment node when at most one operand is lazy
 
 
 _KINDS = {
-    "LinearMap": _Kind(1, (_mapped, _affine), _mapped_set, _polygon_of(_mapped_set), _preimage),
-    "AffineMap": _Kind(1, (_mapped, _affine), _mapped_set, _polygon_of(_mapped_set), _preimage),
-    "Translation": _Kind(1, (_mapped, _affine), _mapped_set, _on_polygons(_mapped_set), _preimage),
-    "MinkowskiSum": _Kind(2, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift),
-    "MinkowskiSumArray": _Kind(None, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift),
+    "LinearMap": _Kind(1, None, _mapped_set, _polygon_of(_mapped_set), _preimage, segment=True),
+    "AffineMap": _Kind(1, None, _mapped_set, _polygon_of(_mapped_set), _preimage, segment=True),
+    "Translation": _Kind(1, None, _mapped_set, _on_polygons(_mapped_set), _preimage, segment=True),
+    "MinkowskiSum": _Kind(2, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, segment=True),
+    "MinkowskiSumArray": _Kind(None, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, segment=True),
     "CartesianProduct": _Kind(
         2, (_sliced, _product), _product_set, _polygon_of(_product_set),
         _decided_by(False, lambda X, x: np.split(x, _offsets(X))),
@@ -477,15 +487,35 @@ _MODES = {
 
 def _evaluate(T, D, ctx, mode, want):
     """Support values of T along the rows of D, and its vectors if ``want``,
-    in three phases over (node, want) pairs.  Down: pairs leave a heap by
-    decreasing node height, so each comes after all its parents, and call
-    their ``blocks`` rule once on their stacked distinct incoming blocks.
+    in three phases over (node, want) pairs.
+
+    Down: pairs leave a heap by decreasing node height, so each comes after
+    all its parents, and stack their distinct incoming blocks.  A segment
+    node (a map, or a sum whose other operands are concrete) heads a
+    segment: one loop follows its lazy operands while they are segment
+    nodes, computing each node's block (B <- B M) and collecting the blocks
+    that each distinct concrete operand receives.  The segment ends at its
+    tail: a concrete set, a node of another kind, or a node that another
+    parent may reach.  The tail receives the last block, and each concrete
+    operand its blocks stacked as one.  Any other node calls its ``blocks``
+    rule once on its stack.
+
     Leaves: each concrete set's pair, popped last, makes one
-    ``_support_batch`` call on its stack.  Up: in reverse pop order, each
-    lazy pair calls its ``combine`` rule once, on the rows of its operands'
-    results that answer its blocks.  Blocks are told apart by id, so a
-    subtree sent one block by several parents evaluates it once; all
-    blocks stay alive until the end, so no new array can reuse an id."""
+    ``_support_batch`` call on its stack.
+
+    Up: in reverse order, each segment adds its tail's rows, the shifts
+    ``B . b`` of its translations and affine maps, and one ``reshape``-sum
+    per concrete operand, and maps support vectors back through its nodes in
+    one loop; any other node calls its ``combine`` rule once.
+
+    A segment continues into a node only if the node has no pair yet and is
+    at least as high as every node still in the heap: all its parents are
+    then past, so none can reach it later.  So no node is walked twice in
+    one query, and the walk is linear in the distinct nodes.
+
+    Blocks are told apart by id, so a subtree sent one block by several
+    parents evaluates it once; all blocks stay alive until the end, so no
+    new array can reuse an id."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     rules = _MODES[mode]
@@ -494,7 +524,7 @@ def _evaluate(T, D, ctx, mode, want):
     root = [T, {id(D): D}, None, None]
     pairs = {(id(T), want): root}
     heap = [(-T._height if type(T) is LazyNode else 0, id(T), want, root)]
-    down = []
+    up = []
     while heap:
         _, _, w, pair = heappop(heap)
         X, incoming, _, _ = pair
@@ -509,10 +539,39 @@ def _evaluate(T, D, ctx, mode, want):
         if type(X) is not LazyNode:
             pair[3] = X._support_batch(S, ctx, w)
             continue
-        split, combine = rules[X.kind]
-        blocks, cw = split(X, S, w)
+        if X._lazy is None:
+            split, combine = rules[X.kind]
+            blocks, cw = split(X, S, w)
+            sends = zip(X.operands, blocks)
+        else:
+            nodes, B, shift, concrete = [], S, None, {}
+            while True:
+                nodes.append(X)
+                if X.vector is not None:
+                    shift = B.dot(X.vector) if shift is None else shift + B.dot(X.vector)
+                if X.matrix is not None:
+                    B = B.dot(X.matrix)
+                operands, lazy = X.operands, X._lazy
+                if len(operands) > 1:
+                    for i, C in enumerate(operands):
+                        if i != lazy:
+                            if id(C) in concrete:
+                                concrete[id(C)][1].append(B)
+                            else:
+                                concrete[id(C)] = (C, [B])
+                Y = operands[lazy]
+                if type(Y) is not LazyNode or Y._lazy is None or (id(Y), w) in pairs:
+                    break
+                if heap and Y._height < -heap[0][0]:
+                    break
+                X = Y
+            sends = [(Y, B)]
+            for C, Bs in concrete.values():
+                sends.append((C, Bs[0] if len(Bs) == 1 else np.concatenate(Bs)))
+            # The up step combines the segment, not its head node alone.
+            combine, X, cw = _segment_combine, (nodes, shift, concrete), w
         links = []
-        for op, B in zip(X.operands, blocks):
+        for op, B in sends:
             key = (id(op), cw)
             child = pairs.get(key)
             if child is None:
@@ -520,10 +579,38 @@ def _evaluate(T, D, ctx, mode, want):
                 heappush(heap, (-op._height if type(op) is LazyNode else 0, id(op), cw, child))
             child[1][id(B)] = B
             links.append((child, id(B)))
-        down.append((X, w, S, links, combine, pair))
-    for X, w, S, links, combine, pair in reversed(down):
+        up.append((combine, X, S, links, w, pair))
+    for combine, X, S, links, w, pair in reversed(up):
         pair[3] = combine(X, S, [c[3] if c[2] is None else _rows(c, i) for c, i in links], w, ctx)
     return root[3]
+
+
+def _segment_combine(segment, S, results, want, ctx):
+    # The up step of a segment: ``results`` holds its tail's rows, then the
+    # stacked rows of each concrete operand in ``concrete`` order.
+    nodes, shift, concrete = segment
+    (values, V), m = results[0], len(S)
+    counts = [len(Bs) for _, Bs in concrete.values()]
+    if shift is not None:
+        values = values + shift
+    for n, (more, _) in zip(counts, results[1:]):
+        values = values + (more if n == 1 else more.reshape(n, m).sum(axis=0))
+    if not want:
+        return values, None
+    # sigma(d, M Y + b) = M sigma(M^T d, Y) + b, and a sum adds each concrete
+    # operand's vector at the block it received: going up, its blocks come
+    # last to first.
+    last = {key: reversed(W.reshape(n, m, W.shape[1])) for key, n, (_, W) in zip(concrete, counts, results[1:])}
+    for X in reversed(nodes):
+        if X.matrix is not None:
+            V = V.dot(X.matrix.T)
+        if X.vector is not None:
+            V = V + X.vector
+        if len(X.operands) > 1:
+            for i, C in enumerate(X.operands):
+                if i != X._lazy:
+                    V = V + next(last[id(C)])
+    return values, V
 
 
 def _rows(pair, block_id):

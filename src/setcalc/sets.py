@@ -420,6 +420,24 @@ class Hyperrectangle(AbstractHyperrectangle):
             raise ValueError("radius entries must be nonnegative")
         self._radius = radius
 
+    @classmethod
+    def _from_arrays(cls, center, radius) -> "Hyperrectangle":
+        """The box of a float center and radius of one shape, which it keeps
+        and freezes instead of copying: pass arrays no one else writes.  The
+        constructor's checks stay: finite entries (a midpoint may overflow)
+        and a nonnegative radius."""
+        if not math.isfinite(float(center.dot(center)) + float(radius.dot(radius))):
+            # An overflow or an entry that is not finite: the constructor's checks decide.
+            _as_vector(center, name="center")
+            _as_vector(radius, name="radius")
+        if min(radius.tolist(), default=0.0) < 0.0:  # cheaper than numpy's min on small boxes
+            raise ValueError("radius entries must be nonnegative")
+        center.setflags(write=False)
+        radius.setflags(write=False)
+        box = object.__new__(cls)
+        box.__dict__["center"], box.__dict__["_radius"] = center, radius
+        return box
+
     @property
     def radius_vector(self) -> np.ndarray:
         return self._radius
@@ -433,7 +451,7 @@ class Hyperrectangle(AbstractHyperrectangle):
 
     def translate(self, v) -> "Hyperrectangle":
         v = _as_vector(v, self.dim, "shift")
-        return Hyperrectangle(self.center + v, self._radius)
+        return Hyperrectangle._from_arrays(self.center + v, self._radius)
 
 
 class BallInf(AbstractHyperrectangle):

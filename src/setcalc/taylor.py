@@ -214,7 +214,7 @@ def _box_for_range(v: TaylorModelVector, J: tuple[float, float]) -> Hyperrectang
         radius[i] = 0.5 * (hi - lo)
         if radius[i] > 0.0:
             radius[i] += _ulp_slack(abs(center[i]) + radius[i])
-    return Hyperrectangle(center, radius)
+    return Hyperrectangle._from_arrays(center, radius)
 
 
 def tm_to_zonotope(v: TaylorModelVector, splits: int = 1):

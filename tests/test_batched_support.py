@@ -7,6 +7,7 @@ but not the arithmetic, so the two must agree to 1e-12 relative, fixed
 before running.
 """
 
+import collections
 import copy
 import pickle
 
@@ -349,3 +350,171 @@ def test_deep_and_shared_trees_copy_pickle_and_compare():
     deep_mismatch = _chain(10_000, np.random.default_rng(7))[-1]
     assert deep_mismatch != chain and chain != deep_mismatch
     assert dag != make_node("MinkowskiSum", [dag.operands[0], dag.operands[0]])
+
+
+# ---------------------------------------------------------------------------
+# Segments: maps, translations and sums whose other operands are concrete,
+# against a numpy recurrence that shares no code with the evaluator.
+
+
+def _np_leaf(rng, n, kind):
+    if kind == "box":
+        return kind, rng.uniform(-1, 1, n), rng.uniform(0.0, 0.3, n)
+    return kind, rng.uniform(-1, 1, n), rng.uniform(-0.5, 0.5, (n, int(rng.integers(1, n + 2))))
+
+
+def _np_support(leaf, D):
+    """(values, vectors) of a box (c, r) or zonotope (c, G) along the rows of D."""
+    kind, c, R = leaf
+    if kind == "box":
+        return D @ c + np.abs(D) @ R, c + np.where(D >= 0.0, 1.0, -1.0) * R
+    DG = D @ R
+    return D @ c + np.abs(DG).sum(axis=1), c + np.where(DG >= 0.0, 1.0, -1.0) @ R.T
+
+
+def _as_set(leaf):
+    kind, c, R = leaf
+    return sc.Hyperrectangle(c, R) if kind == "box" else sc.Zonotope(c, R)
+
+
+def _np_base(rng, n, kind):
+    """A tail for the chain: a concrete zonotope or a node of another kind,
+    with its numpy support ``D -> (values, vectors)`` (vectors None where
+    only values are defined)."""
+    Z, W = _np_leaf(rng, n, "zonotope"), _np_leaf(rng, n, "box")
+    if kind == "leaf":
+        return _as_set(Z), lambda D: _np_support(Z, D)
+    if kind == "hull":
+        def hull(D):
+            (a, Va), (b, Vb) = _np_support(Z, D), _np_support(W, D)
+            return np.maximum(a, b), np.where((a >= b)[:, None], Va, Vb)
+        return make_node("ConvexHullUnion", [_as_set(Z), _as_set(W)]), hull
+    if kind == "interval_hull":
+        def interval_hull(D):
+            axes, _ = _np_support(Z, np.vstack([np.eye(n), -np.eye(n)]))
+            radius = np.maximum(np.abs(axes[:n]), np.abs(axes[n:]))
+            return np.abs(D) @ radius, np.where(D >= 0.0, 1.0, -1.0) * radius
+        return make_node("SymmetricIntervalHull", [_as_set(Z)]), interval_hull
+    # The min-bound of an intersection has values only.
+    return make_node("Intersection", [_as_set(Z), _as_set(W)]), lambda D: (
+        np.minimum(_np_support(Z, D)[0], _np_support(W, D)[0]), None)
+
+
+def _stable(rng, n):
+    M = rng.normal(size=(n, n))
+    return 0.97 * M / np.linalg.norm(M, 2)
+
+
+def _segment_case(rng, n, base, steps, shared):
+    """A random chain of ``steps`` segment nodes over a tail of kind ``base``,
+    and its support ``D -> (values, vectors)`` by the numpy recurrence
+    ``rho(d, M X + b + E) = rho(M^T d, X) + d . b + rho(d, E)``."""
+    X, tail = _np_base(rng, n, base)
+    E = _np_leaf(rng, n, "box")
+    E_set = _as_set(E)
+    recipe = []  # per node, bottom up: (matrix, vector, concrete operand leaves)
+    for _ in range(steps):
+        kind = ("sum", "sum", "sum_array", "affine", "translation", "bare_sum")[int(rng.integers(0, 6))]
+        M = _stable(rng, n) if kind in ("sum", "sum_array", "affine") else None
+        b = rng.uniform(-0.2, 0.2, n) if kind in ("affine", "translation") else None
+        if kind == "affine":
+            X = make_node("AffineMap", [X], matrix=M, vector=b)
+            recipe.append((M, b, []))
+        elif kind == "translation":
+            X = make_node("Translation", [X], vector=b)
+            recipe.append((None, b, []))
+        else:
+            # A sum of the (mapped) chain and one or two concrete sets, in any
+            # position: one shared box, or a fresh one per step as a parsed
+            # document has.
+            fresh = _np_leaf(rng, n, "box")
+            others = [(E, E_set) if shared else (fresh, _as_set(fresh))]
+            if kind == "sum_array":
+                Z = _np_leaf(rng, n, "zonotope")
+                others.append((Z, _as_set(Z)))
+            if M is not None:
+                X = make_node("LinearMap", [X], matrix=M)
+                recipe.append((M, None, []))
+            operands = [S for _, S in others]
+            operands.insert(int(rng.integers(0, len(operands) + 1)), X)
+            X = make_node("MinkowskiSum" if len(operands) == 2 else "MinkowskiSumArray", operands)
+            recipe.append((None, None, [leaf for leaf, _ in others]))
+
+    def support(D):
+        blocks = [D]
+        for M, _, _ in reversed(recipe):
+            blocks.append(blocks[-1] if M is None else blocks[-1] @ M)
+        values, vectors = tail(blocks[-1])
+        for (M, b, leaves), B in zip(recipe, reversed(blocks[:-1])):
+            if vectors is not None and M is not None:
+                vectors = vectors @ M.T
+            if b is not None:
+                values = values + B @ b
+                vectors = None if vectors is None else vectors + b
+            for leaf in leaves:
+                more, sigma = _np_support(leaf, B)
+                values = values + more
+                vectors = None if vectors is None else vectors + sigma
+        return values, vectors
+
+    return X, support
+
+
+@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("base", ["leaf", "hull", "interval_hull", "intersection"])
+def test_segments_match_numpy_recurrence(n, base):
+    rng = np.random.default_rng([n, len(base)])
+    for case in range(12):
+        tree, support = _segment_case(rng, n, base, int(rng.integers(1, 30)), shared=case % 2 == 0)
+        D = np.array([random_unit_direction(rng, n) for _ in range(7)])
+        values, vectors = support(D)
+        modes = ("overapproximate",) if base == "intersection" else ("exact", "overapproximate")
+        for mode in modes:
+            np.testing.assert_allclose(_evaluate(tree, D, CTX, mode, False)[0], values, rtol=RTOL, atol=RTOL)
+            if vectors is None:
+                with pytest.raises(UnsupportedOperationError):
+                    _evaluate(tree, D, CTX, mode, True)
+                continue
+            got_values, got_vectors = _evaluate(tree, D, CTX, mode, True)
+            np.testing.assert_allclose(got_values, values, rtol=RTOL, atol=RTOL)
+            np.testing.assert_allclose(got_vectors, vectors, rtol=RTOL, atol=RTOL)
+            # A query of no directions answers with empty arrays.
+            got_values, got_vectors = _evaluate(tree, D[:0], CTX, mode, True)
+            assert got_values.shape == (0,) and got_vectors.shape == (0, n)
+
+
+@pytest.mark.parametrize("shape", ["flowpipe", "translated_steps"])
+def test_shared_steps_end_segments(monkeypatch, shape):
+    # Every step below the top is reached twice: from the union and from the
+    # next step, so segments end at each step.  One leaf call per (leaf, want)
+    # stays, and so do the leaf rows: T blocks of 16 rows reach the initial
+    # set and T(T+1)/2 reach E, as before segments.
+    calls = []
+    for cls in (sc.sets.AbstractHyperrectangle, sc.Zonotope):
+        def counting(self, D, ctx, vectors, original=cls._support_batch):
+            calls.append((id(self), vectors, len(D)))
+            return original(self, D, ctx, vectors)
+
+        monkeypatch.setattr(cls, "_support_batch", counting)
+    T = 30
+    steps = _chain(T, np.random.default_rng(7))
+    if shape == "flowpipe":
+        tree = make_node("Union", steps[1:])
+    else:
+        shifted = [make_node("Translation", [X], vector=[0.1 * k, -0.05]) for k, X in enumerate(steps[1:-1])]
+        tree = make_node("Union", [steps[-1], *shifted])
+    leaves = {id(steps[0]), id(steps[1].operands[1])}
+    D = np.array(sc.generate_directions(polar_template(16)))
+    # Walking a node reads its operands: at most once to send blocks down and
+    # twice to map vectors up.  A node walked more
+    # than once per query would read them about once per step above it.
+    reads = collections.Counter()
+    slot = sc.LazyNode.operands
+    monkeypatch.setattr(sc.LazyNode, "operands", property(lambda X: reads.update([id(X)]) or slot.__get__(X)))
+    for want in (False, True):
+        calls.clear()
+        reads.clear()
+        tree.support_batch(D, vectors=want)
+        assert sorted(c[:2] for c in calls) == sorted((leaf, want) for leaf in leaves)
+        assert sum(c[2] for c in calls) == 7920 == 16 * (T + T * (T + 1) // 2)
+        assert max(reads.values()) <= 4

@@ -76,6 +76,17 @@ def test_parse_doc_errors():
     with pytest.raises(DocumentError) as info:
         parse_doc(json.dumps(mismatch))
     assert "dimension" in str(info.value)
+    stray = {
+        "op": "MinkowskiSum",
+        "vector": [5, 5],
+        "args": [
+            {"op": "LinearMap", "matrix": [[1, 0], [0, 1]], "args": [{"set": "BallInf", "center": [0, 0], "radius": 1}]},
+            {"set": "BallInf", "center": [0, 0], "radius": 1},
+        ],
+    }
+    with pytest.raises(DocumentError) as info:
+        parse_doc(json.dumps(stray))
+    assert "takes no vector payload" in str(info.value)
 
 
 def test_doc_roundtrip_structural_equality():

@@ -143,6 +143,49 @@ def test_fastpath_equals_generic():
             assert sc.is_equivalent(fast, generic)
 
 
+def _raised(build):
+    try:
+        build()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+def test_box_from_arrays_checks_like_the_constructor():
+    for center, radius in [
+        ([0.0, np.inf], [1.0, 1.0]),
+        ([np.nan, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, -np.inf]),
+        ([0.0, 0.0], [np.nan, 1.0]),
+        ([0.0, 0.0], [1.0, -0.5]),
+        ([1e200, 1e200], [1e200, 1e200]),  # the sums of squares overflow, the entries do not
+    ]:
+        with np.errstate(over="ignore"):
+            public = _raised(lambda: sc.Hyperrectangle(center, radius))
+            private = _raised(lambda: sc.Hyperrectangle._from_arrays(np.array(center), np.array(radius)))
+        assert private == public
+    box = sc.Hyperrectangle._from_arrays(np.array([1.0, 2.0]), np.array([0.5, 0.0]))
+    assert box == sc.Hyperrectangle([1.0, 2.0], [0.5, 0.0])
+    assert not box.center.flags.writeable and not box.radius.flags.writeable
+    with pytest.raises(AttributeError):
+        box.center = np.zeros(2)
+
+
+def test_boxes_built_from_arrays_raise_on_an_overflowing_midpoint():
+    # Every bound is finite, but (lo + hi) / 2 overflows to inf.
+    with np.errstate(over="ignore"):
+        X = sc.Hyperrectangle([1e308, 0.0], [0.5e308, 1.0])
+        H = sc.HalfSpace([1.0, 0.0], 1.6e308)
+        with pytest.raises(ValueError, match="finite"):
+            sc.intersection_fastpath(X, H)
+        with pytest.raises(ValueError, match="finite"):
+            sc.intersection(X, sc.Hyperrectangle([1.2e308, 0.0], [0.5e308, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            sc.minkowski_sum(X, X)
+        with pytest.raises(ValueError, match="finite"):
+            X.translate([1e308, 0.0])
+
+
 def test_single_entry_vector_validation():
     with pytest.raises(ValueError):
         SingleEntryVector(5, 3, 1.0)

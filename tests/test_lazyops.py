@@ -18,6 +18,20 @@ def test_make_node_structure(initial_tree):
     assert initial_tree.depth() == 4
 
 
+@pytest.mark.parametrize("kind", ["LinearMap", "AffineMap"])
+def test_make_node_copies_the_callers_matrix(kind):
+    X = sc.BallInf([0.5, -0.25], 1.0)
+    phi = np.array([[0.9, 0.2], [-0.1, 0.8]])
+    node = make_node(kind, [X], matrix=phi, vector=[0.1, 0.0] if kind == "AffineMap" else None)
+    d = np.array([0.6, 0.8])
+    before = lazy_support_function(d, node)
+    assert phi.flags.writeable and node.matrix is not phi
+    assert not node.matrix.flags.writeable
+    phi[0, 0] = 100.0
+    assert node.matrix[0, 0] == 0.9
+    assert lazy_support_function(d, node) == before
+
+
 def test_make_node_validation():
     box2 = sc.BallInf(np.zeros(2), 1.0)
     box3 = sc.BallInf(np.zeros(3), 1.0)
@@ -29,6 +43,23 @@ def test_make_node_validation():
         make_node("Translation", [box2])  # missing vector payload
     with pytest.raises(DimensionMismatchError):
         make_node("LinearMap", [box3], matrix=np.eye(2))
+
+
+def test_make_node_rejects_stray_payloads():
+    # A payload on a kind that takes none is refused, not ignored by some
+    # queries and applied by others.
+    E = sc.BallInf(np.zeros(2), 0.1)
+    lazy = make_node("LinearMap", [sc.BallInf(np.ones(2), 1.0)], matrix=np.eye(2))
+    for kind, operands in [("MinkowskiSum", [lazy, E]), ("MinkowskiSumArray", [lazy, E, E]),
+                           ("ConvexHullUnion", [lazy, E]), ("Union", [lazy, E])]:
+        with pytest.raises(ValueError, match="takes no vector"):
+            make_node(kind, operands, vector=[5.0, 5.0])
+        with pytest.raises(ValueError, match="takes no matrix"):
+            make_node(kind, operands, matrix=2.0 * np.eye(2))
+    with pytest.raises(ValueError, match="takes no vector"):
+        make_node("LinearMap", [E], matrix=np.eye(2), vector=[5.0, 5.0])
+    with pytest.raises(ValueError, match="takes no matrix"):
+        make_node("Translation", [E], matrix=np.eye(2), vector=[5.0, 5.0])
 
 
 def test_translation_zero_is_identity():
