@@ -178,21 +178,6 @@ def symmetric_interval_hull(X: ConvexSet, ctx: ToleranceContext | None = None) -
     return Hyperrectangle._from_arrays(np.zeros(X.dim), np.maximum(np.abs(hi), np.abs(lo)))
 
 
-def _line_intersection(d1, r1, d2, r2) -> np.ndarray:
-    det = d1[0] * d2[1] - d1[1] * d2[0]
-    return np.array([(r1 * d2[1] - r2 * d1[1]) / det, (d1[0] * r2 - d2[0] * r1) / det])
-
-
-def _point_segment_distance(q, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(q - a)))
-    s = float((q - a) @ ab) / denom
-    s = min(1.0, max(0.0, s))
-    return float(np.hypot(*(q - a - s * ab)))
-
-
 def overapproximate_eps_2d(X: ConvexSet, eps: float, ctx: ToleranceContext | None = None) -> VPolygon:
     """Adaptive outer polygon with Hausdorff distance to X of at most eps.
 
@@ -210,37 +195,50 @@ def overapproximate_eps_2d(X: ConvexSet, eps: float, ctx: ToleranceContext | Non
         raise UnsupportedOperationError("eps-close approximation is only implemented in 2-D")
 
     def probe(angles):
-        D = np.array([(math.cos(a), math.sin(a)) for a in angles])
-        values, vectors = X.support_batch(D, ctx, vectors=True)
+        # One row per angle: (angle, direction, support value, support vector).
+        rows = np.empty((len(angles), 6))
+        rows[:, 0], rows[:, 1], rows[:, 2] = angles, np.cos(angles), np.sin(angles)
+        values, vectors = X.support_batch(rows[:, 1:3], ctx, vectors=True)
         if not np.all(np.isfinite(values)):
             raise UnboundedSetError("cannot approximate an unbounded set")
-        return list(zip(angles, D, values, vectors))
+        rows[:, 3], rows[:, 4:] = values, vectors
+        return rows
 
-    entries = probe([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
-    refinements = 0
-    # Work items are adjacent direction pairs (in angle), refined breadth first
-    # so that all bisections of a round share one batched query; a split
-    # depends only on the pair's endpoints, so the order does not matter.
-    work = [(entries[i], entries[(i + 1) % 4]) for i in range(4)]
-    vertices = []
-    while work:
-        split = []
-        for first, second in work:
-            gap = (second[0] - first[0]) % (2.0 * math.pi)
-            q = _line_intersection(first[1], first[2], second[1], second[2])
-            error = _point_segment_distance(q, first[3], second[3])
-            if error <= eps or gap <= 1e-12:
-                vertices.append(q)
-            else:
-                split.append((first, second, (first[0] + gap / 2.0) % (2.0 * math.pi)))
-        refinements += len(split)
+    # Work items are adjacent direction pairs (in angle), with the probes of
+    # their two ends in the same rows of ``first`` and ``second``.  They are
+    # refined breadth first, so that all bisections of a round share one
+    # batched query; a split depends only on the pair's endpoints, so the
+    # order does not matter.
+    first = probe(np.array([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi]))
+    second = first[[1, 2, 3, 0]]
+    refinements, xs, ys = 0, [], []
+    while True:
+        a1, d1x, d1y, r1, v1x, v1y = first.T
+        a2, d2x, d2y, r2, v2x, v2y = second.T
+        gap = (a2 - a1) % (2.0 * math.pi)
+        # The supporting lines meet at q; its distance to the chord v1 v2
+        # (to v1 where the chord is a point) bounds the local error.
+        det = d1x * d2y - d1y * d2x
+        qx, qy = (r1 * d2y - r2 * d1y) / det, (d1x * r2 - d2x * r1) / det
+        cx, cy, px, py = v2x - v1x, v2y - v1y, qx - v1x, qy - v1y
+        length = cx * cx + cy * cy
+        t = np.minimum(np.maximum((px * cx + py * cy) / np.where(length == 0.0, 1.0, length), 0.0), 1.0)
+        split = ~((np.hypot(px - t * cx, py - t * cy) <= eps) | (gap <= 1e-12))
+        if not split.any():
+            xs.append(qx)
+            ys.append(qy)
+            return VPolygon(np.column_stack((np.concatenate(xs), np.concatenate(ys))))
+        xs.append(qx[~split])
+        ys.append(qy[~split])
+        refinements += int(np.count_nonzero(split))
         if refinements > _REFINEMENT_CAP:
             raise UnsupportedOperationError(
                 f"eps-close refinement exceeded {_REFINEMENT_CAP} bisections"
             )
-        middles = probe([angle for _, _, angle in split]) if split else []
-        work = [pair for (a, b, _), m in zip(split, middles) for pair in ((a, m), (m, b))]
-    return VPolygon(vertices)
+        middle = probe((a1[split] + gap[split] / 2.0) % (2.0 * math.pi))
+        # Each split pair (a, b) becomes (a, middle) and (middle, b), in place.
+        first, second = np.repeat(first[split], 2, axis=0), np.repeat(second[split], 2, axis=0)
+        first[1::2] = second[::2] = middle
 
 
 def overapproximate_zonotope(X: ConvexSet, directions, ctx: ToleranceContext | None = None) -> Zonotope:
@@ -299,10 +297,18 @@ def underapproximate(X: ConvexSet, directions, ctx: ToleranceContext | None = No
     Support vectors are members of X, so the hull is an inner approximation.
     Returns a VPolygon in 2-D, a VPolytope otherwise.
     """
-    directions = [_as_vector(d, X.dim, "direction") for d in directions]
-    if not directions:
+    directions = list(directions)
+    try:
+        D = np.array(directions, dtype=float)
+    except (TypeError, ValueError):
+        D = None
+    if D is None or D.shape[1:] != (X.dim,) or not np.isfinite(D).all():
+        # Converting each direction on its own accepts any shape of vector
+        # and names a bad one.
+        D = np.array([_as_vector(d, X.dim, "direction") for d in directions]).reshape(-1, X.dim)
+    if not len(D):
         raise ValueError("need at least one direction")
-    _, points = X.support_batch(np.array(directions), ctx, vectors=True)
+    _, points = X.support_batch(D, ctx, vectors=True)
     if X.dim == 2:
         return VPolygon(points)
     return VPolytope(points)

@@ -16,9 +16,14 @@ operands' rows on the way up.  The rules are
 
 plus a box formula for the symmetric interval hull.  Maps, translations and
 sums whose other operands are concrete form segments, walked in one loop
-each way: a reach chain ``X_k = Phi X_{k-1} + E`` is the recurrence
-``rho(d, X_N) = rho((Phi^T)^N d, X_0) + sum_{i<N} rho((Phi^T)^i d, E)``, with
-every block for E answered in one call and summed by one reshape.  An exact
+down.  The maps of a segment fall into runs of bitwise-equal matrices; a
+run of r maps by M gets the blocks B M, ..., B M^r by repeated squaring, in
+ceil(log2(r+1)) stacked products by M, M^2, M^4, ..., and on the way up
+folds its support vectors in halves with the same powers.  A reach chain
+``X_k = Phi X_{k-1} + E`` is the recurrence
+``rho(d, X_N) = rho((Phi^T)^N d, X_0) + sum_{i<N} rho((Phi^T)^i d, E)``
+(Girard, Le Guernic and Maler, HSCC 2006): about log2 N products, one call
+for every block of E, and one reshape-sum.  An exact
 support value over a lazy binary intersection has no composition rule;
 exact queries concretize 2-D intersections and refuse otherwise, while the
 explicit overapproximate mode returns the upper bound
@@ -493,20 +498,29 @@ def _evaluate(T, D, ctx, mode, want):
     all its parents, and stack their distinct incoming blocks.  A segment
     node (a map, or a sum whose other operands are concrete) heads a
     segment: one loop follows its lazy operands while they are segment
-    nodes, computing each node's block (B <- B M) and collecting the blocks
-    that each distinct concrete operand receives.  The segment ends at its
-    tail: a concrete set, a node of another kind, or a node that another
-    parent may reach.  The tail receives the last block, and each concrete
-    operand its blocks stacked as one.  Any other node calls its ``blocks``
-    rule once on its stack.
+    nodes.  Block k of the segment is its stack mapped by the first k maps.
+    The loop records the index of the block each concrete operand and each
+    shift receives, and groups the maps into runs of bitwise-equal
+    matrices (``M is`` the run's matrix, else equal ``tobytes``).  It makes
+    the first block of a run with one product; a run of r >= 2 maps gets
+    the rest by doubling when it ends (:func:`_double`), so it costs
+    ceil(log2(r+1)) products instead of r.  The segment ends at its tail: a
+    concrete set, a node of another kind, a node that another parent may
+    reach, or the operand of a map that changes the dimension.  The tail
+    receives the last block, and each concrete operand its blocks as one
+    slice of a run's stack, or else as one concatenation.  Any other node
+    calls its ``blocks`` rule once on its stack.
 
     Leaves: each concrete set's pair, popped last, makes one
     ``_support_batch`` call on its stack.
 
     Up: in reverse order, each segment adds its tail's rows, the shifts
     ``B . b`` of its translations and affine maps, and one ``reshape``-sum
-    per concrete operand, and maps support vectors back through its nodes in
-    one loop; any other node calls its ``combine`` rule once.
+    per concrete operand.  For support vectors it adds, per block, what
+    that block's operands and shifts answered, and folds each run, bottom
+    run first, in halves with the powers of the way down
+    (:func:`_segment_combine`).  Any other node calls its ``combine`` rule
+    once.
 
     A segment continues into a node only if the node has no pair yet and is
     at least as high as every node still in the heap: all its parents are
@@ -544,32 +558,73 @@ def _evaluate(T, D, ctx, mode, want):
             blocks, cw = split(X, S, w)
             sends = zip(X.operands, blocks)
         else:
-            nodes, B, shift, concrete = [], S, None, {}
+            # Block k is S mapped by the first k maps.  A run is a stretch of
+            # maps of one bitwise-equal matrix M: the walk makes its first
+            # block with one product, as for any map, and only counts the
+            # others; when the run ends, doubling makes the rest (_double).
+            # Dimensions match along the walk, so a matrix with the run
+            # matrix's bytes has its shape too.
+            m, k, r, B, blocks = len(S), 0, 0, S, [S]
+            runs, shifts, concrete, last = [], [], {}, None
+            run_matrix = run_bytes = start = None
             while True:
-                nodes.append(X)
-                if X.vector is not None:
-                    shift = B.dot(X.vector) if shift is None else shift + B.dot(X.vector)
-                if X.matrix is not None:
-                    B = B.dot(X.matrix)
                 operands, lazy = X.operands, X._lazy
                 if len(operands) > 1:
                     for i, C in enumerate(operands):
                         if i != lazy:
-                            if id(C) in concrete:
-                                concrete[id(C)][1].append(B)
+                            cid = id(C)
+                            if cid in concrete:
+                                concrete[cid][1].append(k)
                             else:
-                                concrete[id(C)] = (C, [B])
+                                concrete[cid] = (C, [k])
+                else:
+                    if X.vector is not None:
+                        shifts.append((X.vector, k))
+                    M = X.matrix
+                    if M is not None:
+                        if r and M is not run_matrix:
+                            # The run's bytes are read once, when a second map comes.
+                            if run_bytes is None:
+                                run_bytes = run_matrix.tobytes()
+                            if M.tobytes() == run_bytes:
+                                run_matrix = M
+                        if r and M is run_matrix:
+                            r += 1
+                        else:
+                            if r > 1:
+                                B = _double(run_matrix, k - r, r, start, blocks, m)
+                            if M.shape[1] != len(M):
+                                # A map that changes the dimension ends the
+                                # segment, so all its blocks have one width.
+                                r, last, Y = 0, M, operands[0]
+                                break
+                            runs.append((k, M))
+                            run_matrix, run_bytes, r, start = M, None, 1, B
+                            B = B.dot(M)
+                            blocks.append(B)
+                        k += 1
                 Y = operands[lazy]
-                if type(Y) is not LazyNode or Y._lazy is None or (id(Y), w) in pairs:
+                if type(Y) is not LazyNode or Y._lazy is None:
                     break
-                if heap and Y._height < -heap[0][0]:
+                # Y's pair, if it has one, waits in the heap (pairs leave it by
+                # decreasing height, and Y is below the head): an empty heap
+                # means Y has none.
+                if heap and (Y._height < -heap[0][0] or (id(Y), w) in pairs):
                     break
                 X = Y
-            sends = [(Y, B)]
-            for C, Bs in concrete.values():
-                sends.append((C, Bs[0] if len(Bs) == 1 else np.concatenate(Bs)))
+            if r > 1:
+                B = _double(run_matrix, k - r, r, start, blocks, m)
+            tail, sends, shift = B if last is None else B.dot(last), [], None
+            for b, i in shifts:
+                B = blocks[i]
+                row = (B if type(B) is not tuple else _gather(blocks, m, [i])).dot(b)
+                shift = row if shift is None else shift + row
+            for C, ks in concrete.values():
+                B = blocks[ks[0]]
+                sends.append((C, B if len(ks) == 1 and type(B) is not tuple else _gather(blocks, m, ks)))
+            sends.append((Y, tail))
             # The up step combines the segment, not its head node alone.
-            combine, X, cw = _segment_combine, (nodes, shift, concrete), w
+            combine, X, cw = _segment_combine, (m, k, runs, blocks, shifts, concrete, last, shift), w
         links = []
         for op, B in sends:
             key = (id(op), cw)
@@ -577,40 +632,104 @@ def _evaluate(T, D, ctx, mode, want):
             if child is None:
                 child = pairs[key] = [op, {}, None, None]
                 heappush(heap, (-op._height if type(op) is LazyNode else 0, id(op), cw, child))
-            child[1][id(B)] = B
-            links.append((child, id(B)))
+            i = id(B)
+            child[1][i] = B
+            links.append((child, i))
         up.append((combine, X, S, links, w, pair))
     for combine, X, S, links, w, pair in reversed(up):
         pair[3] = combine(X, S, [c[3] if c[2] is None else _rows(c, i) for c, i in links], w, ctx)
     return root[3]
 
 
+def _double(M, s, r, B, blocks, m):
+    """Make blocks s+2..s+r of a run of r >= 2 maps by M from block s = B,
+    whose first product the walk made, and return the top block.
+
+    The run doubles a stack that starts with its first two blocks, [B; B M]
+    -> [B; ...; B M^3] -> [B; ...; B M^7] -> ..., so it costs
+    ceil(log2(r+1)) products of 2-D stacks by M, M^2, M^4, ...; the way up
+    folds with the same powers.  Each block above s then names its first
+    block, the stack and the powers, ``(s, stack, powers)``."""
+    piece = np.empty(((r + 1) * m, len(M)))
+    piece[:m], piece[m : 2 * m] = B, blocks[s + 1]
+    powers, c = [M, M.dot(M)], 2
+    while True:
+        # Blocks c.. are blocks 0.. times M^c, as many as are still missing.
+        end = min(2 * c, r + 1)
+        np.dot(piece[: (end - c) * m], powers[-1], out=piece[c * m : end * m])
+        if end > r:
+            break
+        c = end
+        powers.append(powers[-1].dot(powers[-1]))
+    blocks[s + 1 :] = [(s, piece, powers)] * r
+    return piece[r * m :]
+
+
+def _consecutive(ks) -> bool:
+    # Sorted block indices with none twice and none skipped.
+    return ks[-1] - ks[0] == len(ks) - 1 and len(set(ks)) == len(ks)
+
+
+def _gather(blocks, m, ks):
+    """The rows of blocks ks stacked in order: a slice of one stack when they
+    are consecutive (none twice, none skipped) and that stack holds them,
+    else one concatenation."""
+    first, top = ks[0], ks[-1]
+    B = blocks[top]
+    if type(B) is tuple and B[0] <= first and _consecutive(ks):
+        s, piece, _ = B
+        return piece[(first - s) * m : (top + 1 - s) * m]
+    rows = []
+    for i in ks:
+        B = blocks[i]
+        if type(B) is tuple:
+            s, piece, _ = B
+            B = piece[(i - s) * m : (i + 1 - s) * m]
+        rows.append(B)
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
 def _segment_combine(segment, S, results, want, ctx):
-    # The up step of a segment: ``results`` holds its tail's rows, then the
-    # stacked rows of each concrete operand in ``concrete`` order.
-    nodes, shift, concrete = segment
-    (values, V), m = results[0], len(S)
-    counts = [len(Bs) for _, Bs in concrete.values()]
+    # The up step of a segment: ``results`` holds the stacked rows of each
+    # concrete operand in ``concrete`` order, then its tail's rows.
+    m, count, runs, blocks, shifts, concrete, last, shift = segment
+    values, V = results[-1]
     if shift is not None:
         values = values + shift
-    for n, (more, _) in zip(counts, results[1:]):
-        values = values + (more if n == 1 else more.reshape(n, m).sum(axis=0))
+    for (_, ks), (more, _) in zip(concrete.values(), results):
+        values = values + (more if len(ks) == 1 else more.reshape(len(ks), m).sum(axis=0))
     if not want:
         return values, None
     # sigma(d, M Y + b) = M sigma(M^T d, Y) + b, and a sum adds each concrete
-    # operand's vector at the block it received: going up, its blocks come
-    # last to first.
-    last = {key: reversed(W.reshape(n, m, W.shape[1])) for key, n, (_, W) in zip(concrete, counts, results[1:])}
-    for X in reversed(nodes):
-        if X.matrix is not None:
-            V = V.dot(X.matrix.T)
-        if X.vector is not None:
-            V = V + X.vector
-        if len(X.operands) > 1:
-            for i, C in enumerate(X.operands):
-                if i != X._lazy:
-                    V = V + next(last[id(C)])
-    return values, V
+    # operand's vector at its block: the vector is sum_k U_k (M_1 ... M_k)^T,
+    # where U_k adds what block k's operands and shifts answered.
+    if last is not None:
+        V = V.dot(last.T)
+    n = V.shape[1]
+    U = np.zeros((count + 1, m, n))
+    U[count] = V
+    for (_, ks), (_, W) in zip(concrete.values(), results):
+        W = W.reshape(len(ks), m, n)
+        if _consecutive(ks):
+            U[ks[0] : ks[-1] + 1] += W
+        else:
+            np.add.at(U, ks, W)
+    for b, k in shifts:
+        U[k] += b
+    # Bottom run first, each into its first block: a run of r maps by M from
+    # block s sums U_{s+i} (M^T)^i for i = 0..r, whose last term already
+    # holds the runs below.  Folding in halves pairs the terms i and i + h,
+    # U_{s+i} += U_{s+i+h} (M^h)^T, for h = ..., 4, 2, 1: the powers of the
+    # way down, each in one product of a 2-D stack.
+    top = count
+    for s, M in reversed(runs):
+        powers, length = (M,) if top == s + 1 else blocks[top][2], top + 1 - s
+        for t in range(len(powers) - 1, -1, -1):
+            h = 1 << t
+            U[s : s + length - h] += U[s + h : s + length].reshape(-1, n).dot(powers[t].T).reshape(length - h, m, n)
+            length = h
+        top = s
+    return values, U[0]
 
 
 def _rows(pair, block_id):

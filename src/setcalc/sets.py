@@ -49,11 +49,17 @@ _ENUM_CAP = 16
 _NORMALS_CAP = 4096
 
 
+def _finite_sum(entries: list) -> bool:
+    # A finite sum proves every entry finite: an infinite or NaN entry makes
+    # the sum infinite or NaN.  Python floats overflow to inf without the
+    # RuntimeWarning a numpy sum raises, so finite entries past the float
+    # range only leave the verdict to the caller's elementwise check.
+    return math.isfinite(sum(entries))
+
+
 def _as_vector(value, n: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.array(value, dtype=float).reshape(-1)
-    # A finite sum of squares proves every entry finite (squares cannot
-    # cancel); only on overflow does the elementwise check need to decide.
-    if v.size and not math.isfinite(float(v.dot(v))) and not np.all(np.isfinite(v)):
+    if not _finite_sum(v.tolist()) and not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must have finite entries")
     if n is not None and v.size != n:
         raise DimensionMismatchError(f"{name} has dimension {v.size}, expected {n}")
@@ -73,7 +79,7 @@ def _as_direction(d, n: int) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.ndim != 1 or d.size != n:
         raise DimensionMismatchError(f"direction has shape {d.shape}, expected ({n},)")
-    if not math.isfinite(float(d @ d)) and not np.all(np.isfinite(d)):
+    if not _finite_sum(d.tolist()) and not np.all(np.isfinite(d)):
         raise ValueError("direction must have finite entries")
     return d
 
@@ -426,11 +432,13 @@ class Hyperrectangle(AbstractHyperrectangle):
         and freezes instead of copying: pass arrays no one else writes.  The
         constructor's checks stay: finite entries (a midpoint may overflow)
         and a nonnegative radius."""
-        if not math.isfinite(float(center.dot(center)) + float(radius.dot(radius))):
-            # An overflow or an entry that is not finite: the constructor's checks decide.
+        radii = radius.tolist()
+        if not _finite_sum(center.tolist()) or not _finite_sum(radii):
+            # A sum past the float range or an entry that is not finite: the
+            # constructor's checks decide.
             _as_vector(center, name="center")
             _as_vector(radius, name="radius")
-        if min(radius.tolist(), default=0.0) < 0.0:  # cheaper than numpy's min on small boxes
+        if min(radii, default=0.0) < 0.0:  # cheaper than numpy's min on small boxes
             raise ValueError("radius entries must be nonnegative")
         center.setflags(write=False)
         radius.setflags(write=False)

@@ -236,6 +236,51 @@ def test_eps_close_area_monotone():
         assert smaller <= larger + 1e-9
 
 
+def _eps_reference(X, eps):
+    """The eps-close refinement one direction pair at a time, as a loop."""
+    def probe(angles):
+        angles = np.array(angles, dtype=float)
+        D = np.column_stack((np.cos(angles), np.sin(angles)))
+        values, vectors = X.support_batch(D, vectors=True)
+        return list(zip(angles.tolist(), D, values, vectors))
+
+    entries = probe([0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi])
+    work = [(entries[i], entries[(i + 1) % 4]) for i in range(4)]
+    vertices = []
+    while work:
+        split = []
+        for first, second in work:
+            gap = (second[0] - first[0]) % (2.0 * math.pi)
+            (d1, r1, v1), (d2, r2, v2) = first[1:], second[1:]
+            det = d1[0] * d2[1] - d1[1] * d2[0]
+            q = np.array([(r1 * d2[1] - r2 * d1[1]) / det, (d1[0] * r2 - d2[0] * r1) / det])
+            chord = v2 - v1
+            length = chord[0] * chord[0] + chord[1] * chord[1]
+            t = 0.0 if length == 0.0 else min(1.0, max(0.0, ((q - v1)[0] * chord[0] + (q - v1)[1] * chord[1]) / length))
+            if np.hypot(*(q - v1 - t * chord)) <= eps or gap <= 1e-12:
+                vertices.append(q)
+            else:
+                split.append((first, second, (first[0] + gap / 2.0) % (2.0 * math.pi)))
+        middles = probe([angle for _, _, angle in split]) if split else []
+        work = [pair for (a, b, _), m in zip(split, middles) for pair in ((a, m), (m, b))]
+    return sc.VPolygon(vertices)
+
+
+def test_eps_close_matches_the_pair_by_pair_loop():
+    # The rounds are array operations; the vertices must be the loop's, bit
+    # for bit, since the arithmetic per pair is the same.
+    rng = np.random.default_rng(12)
+    chain = random_zonotope_2d(rng)
+    for _ in range(30):
+        chain = sc.make_node("MinkowskiSum", [
+            sc.make_node("LinearMap", [chain], matrix=[[0.98, -0.1], [0.1, 0.98]]), sc.BallInf([0.01, 0.0], 0.01)])
+    sets = [chain, sc.BallInf([0.5, -1.0], 0.0), sc.Hyperrectangle([0.0, 0.0], [2.0, 0.0])]
+    sets += [random_polygon(rng) for _ in range(10)] + [random_zonotope_2d(rng) for _ in range(10)]
+    for X in sets:
+        for eps in (1.0, 0.1, 0.01, 1e-3):
+            np.testing.assert_array_equal(overapproximate_eps_2d(X, eps).vertices, _eps_reference(X, eps).vertices)
+
+
 def test_eps_close_validation(demo_polygon):
     with pytest.raises(ValueError):
         overapproximate_eps_2d(demo_polygon, 0.0)

@@ -518,3 +518,150 @@ def test_shared_steps_end_segments(monkeypatch, shape):
         assert sorted(c[:2] for c in calls) == sorted((leaf, want) for leaf in leaves)
         assert sum(c[2] for c in calls) == 7920 == 16 * (T + T * (T + 1) // 2)
         assert max(reads.values()) <= 4
+
+
+# ---------------------------------------------------------------------------
+# Runs: maps of one bitwise-equal matrix in a row, whose blocks come from
+# doubling and whose support vectors fold back pairwise.  The oracle walks
+# the same recipe with one numpy product per map.
+
+
+def _recipe_case(rng, n, steps):
+    """The chain built from ``steps`` over a random zonotope, bottom up, and its
+    support ``D -> (values, vectors)`` by the sequential numpy recurrence.
+
+    A step is ``("map", M)``, ``("affine", M, b)``, ``("translate", b)`` or
+    ``("sum", leaves, position)``, the last a sum of the chain and the given
+    ``_np_leaf`` sets with the chain at that operand position.  One leaf is
+    one set object wherever it appears, as in a reach chain."""
+    base = _np_leaf(rng, n, "zonotope")
+    X, sets = _as_set(base), {}
+    for step in steps:
+        if step[0] == "map":
+            X = make_node("LinearMap", [X], matrix=step[1])
+        elif step[0] == "affine":
+            X = make_node("AffineMap", [X], matrix=step[1], vector=step[2])
+        elif step[0] == "translate":
+            X = make_node("Translation", [X], vector=step[1])
+        else:
+            operands = [sets.setdefault(id(leaf), _as_set(leaf)) for leaf in step[1]]
+            operands.insert(step[2], X)
+            X = make_node("MinkowskiSum" if len(operands) == 2 else "MinkowskiSumArray", operands)
+
+    def support(D):
+        blocks = [D]  # the block each step receives, top step first
+        for step in reversed(steps):
+            blocks.append(blocks[-1] @ step[1] if step[0] in ("map", "affine") else blocks[-1])
+        values, vectors = _np_support(base, blocks[-1])
+        for step, B in zip(steps, reversed(blocks[:-1])):
+            if step[0] in ("map", "affine"):
+                vectors = vectors @ step[1].T
+            if step[0] in ("affine", "translate"):
+                b = step[-1]
+                values, vectors = values + B @ b, vectors + b
+            if step[0] == "sum":
+                for leaf in step[1]:
+                    more, sigma = _np_support(leaf, B)
+                    values, vectors = values + more, vectors + sigma
+        return values, vectors
+
+    return X, support
+
+
+def _check_recipe(rng, n, steps, rows=7):
+    tree, support = _recipe_case(rng, n, steps)
+    D = np.array([random_unit_direction(rng, tree.dim) for _ in range(rows)]).reshape(rows, tree.dim)
+    values, vectors = support(D)
+    for mode in ("exact", "overapproximate"):
+        np.testing.assert_allclose(_evaluate(tree, D, CTX, mode, False)[0], values, rtol=RTOL, atol=RTOL)
+        got_values, got_vectors = _evaluate(tree, D, CTX, mode, True)
+        np.testing.assert_allclose(got_values, values, rtol=RTOL, atol=RTOL)
+        np.testing.assert_allclose(got_vectors, vectors, rtol=RTOL, atol=RTOL)
+        got_values, got_vectors = _evaluate(tree, D[:0], CTX, mode, True)
+        assert got_values.shape == (0,) and got_vectors.shape == (0, tree.dim)
+
+
+def _reach_steps(M, E, length):
+    """``length`` reach steps ``X -> M X + E``."""
+    return [step for _ in range(length) for step in (("map", M), ("sum", [E], 0))]
+
+
+@pytest.mark.parametrize("n", [2, 6])
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 31, 32, 33])
+def test_runs_of_every_length_match_the_recurrence(n, length):
+    rng = np.random.default_rng([n, length])
+    M, E = _stable(rng, n), _np_leaf(rng, n, "box")
+    _check_recipe(rng, n, _reach_steps(M, E, length))
+    # The same run without sums between its maps, under one sum.
+    _check_recipe(rng, n, [("map", M)] * length + [("sum", [E], 1)])
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_runs_broken_by_other_matrices(n):
+    rng = np.random.default_rng(n)
+    A, B, E = _stable(rng, n), _stable(rng, n), _np_leaf(rng, n, "box")
+    # Alternating matrices: every run has one map.
+    _check_recipe(rng, n, [step for k in range(20) for step in _reach_steps(A if k % 2 else B, E, 1)])
+    # Long runs broken by one other matrix, and runs of two.
+    _check_recipe(rng, n, _reach_steps(A, E, 12) + _reach_steps(B, E, 1) + _reach_steps(A, E, 17))
+    _check_recipe(rng, n, [step for k in range(9) for step in _reach_steps(A if k % 2 else B, E, 2)])
+
+
+def test_equal_matrices_held_as_distinct_arrays_and_signed_zeros(monkeypatch):
+    lengths = []
+    double = sc.lazyops._double
+
+    def counting(M, s, r, *rest):
+        lengths.append(r)
+        return double(M, s, r, *rest)
+
+    monkeypatch.setattr(sc.lazyops, "_double", counting)
+    rng = np.random.default_rng(11)
+    E = _np_leaf(rng, 2, "box")
+    M = np.array([[0.6, 0.0], [0.3, -0.7]])
+    # Each map holds its own copy of M: one run.
+    _check_recipe(rng, 2, [step for _ in range(25) for step in (("map", M.copy()), ("sum", [E], 1))])
+    assert lengths and set(lengths) == {25}
+    # -0.0 and 0.0 differ bit for bit, so the run splits there; the answer
+    # is that of one matrix, up to the order of the sums.
+    signed = M.copy()
+    signed[0, 1] = -0.0
+    assert signed.tobytes() != M.tobytes()
+    steps = _reach_steps(M, E, 10) + _reach_steps(signed, E, 5) + _reach_steps(M, E, 6)
+    lengths.clear()
+    _check_recipe(rng, 2, steps)
+    assert lengths and lengths == [6, 5, 10] * (len(lengths) // 3)  # walked top down
+    tree, _ = _recipe_case(np.random.default_rng(3), 2, steps)
+    same, _ = _recipe_case(np.random.default_rng(3), 2, _reach_steps(M, E, 21))
+    D = np.array(sc.generate_directions(polar_template(16)))
+    np.testing.assert_allclose(tree.support_batch(D)[0], same.support_batch(D)[0], rtol=RTOL, atol=RTOL)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_shifts_and_repeated_operands_inside_runs(n):
+    rng = np.random.default_rng([7, n])
+    M, E, Z = _stable(rng, n), _np_leaf(rng, n, "box"), _np_leaf(rng, n, "zonotope")
+    b, c = rng.uniform(-0.2, 0.2, n), rng.uniform(-0.2, 0.2, n)
+    steps = _reach_steps(M, E, 5) + [
+        ("translate", b), ("map", M), ("affine", M, c), ("sum", [E, Z], 2), ("map", M),
+        ("sum", [E, E], 0),  # one concrete operand twice at one block
+        ("translate", c), ("sum", [Z, E, Z], 1), ("map", M), ("affine", M, b),
+    ] + _reach_steps(M, E, 6)
+    _check_recipe(rng, n, steps)
+    # E's blocks are 0, 1, 2, 3, 3, 5, 6, ...: one twice and one skipped, as
+    # many as a consecutive range.
+    steps = _reach_steps(M, E, 3) + [("map", M), ("map", M), ("sum", [E, E], 0)] + _reach_steps(M, E, 3)
+    _check_recipe(rng, n, steps)
+
+
+def test_maps_that_change_the_dimension():
+    rng = np.random.default_rng(21)
+    A2, A6 = _stable(rng, 2), _stable(rng, 6)
+    E2, E6, E3 = _np_leaf(rng, 2, "box"), _np_leaf(rng, 6, "box"), _np_leaf(rng, 3, "box")
+    down, up = rng.normal(size=(6, 2)), rng.normal(size=(3, 6))
+    # 6-D steps over 2-D ones, a 3-D projection heading the tree, and a
+    # non-square affine map heading a segment under a sum.
+    steps = _reach_steps(A2, E2, 9) + [("map", down)] + _reach_steps(A6, E6, 5) + [("map", up)]
+    _check_recipe(rng, 2, steps)
+    _check_recipe(rng, 2, steps + [("sum", [E3], 0)])
+    _check_recipe(rng, 2, _reach_steps(A2, E2, 4) + [("affine", down, rng.normal(size=6)), ("sum", [E6], 1)])

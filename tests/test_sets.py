@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,29 @@ def test_constructor_validation():
         sc.Interval(2, 1)
     with pytest.raises(ValueError):
         sc.BallInf([0, 0], -0.5)
+
+
+def test_finiteness_checks_accept_huge_finite_entries():
+    # Entries above sqrt(float max) are finite and valid: checking them must
+    # not overflow.  No np.errstate here, so a RuntimeWarning from the
+    # library fails the test (and tier-1 turns it into an error).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        box = sc.Hyperrectangle([1e308, 0.0], [0.5e308, 1.0])
+        assert box.center[0] == 1e308 and box.radius[0] == 0.5e308
+        assert sc.Hyperrectangle._from_arrays(np.array([1e308, -1e308]), np.array([1e200, 1e308])).radius[1] == 1e308
+        assert sc.support_function([1e200, 1.0], sc.BallInf([0.0, 0.0], 1.0)) == 1e200 + 1.0
+        assert sc.Zonotope([1e200, 1e200], np.eye(2)).center[1] == 1e200
+        np.testing.assert_array_equal(sc.support_vector([1e300, -1e300], sc.BallInf([0.0, 0.0], 1.0)), [1.0, -1.0])
+        # Sums past the float range, and entries that are not finite.
+        sc.Hyperrectangle([1e308, 1e308], [1e308, 1e308])
+        for bad in ([np.inf, 0.0], [1e308, np.nan], [-np.inf, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                sc.Hyperrectangle(bad, [1.0, 1.0])
+            with pytest.raises(ValueError, match="finite"):
+                sc.Hyperrectangle._from_arrays(np.array([0.0, 0.0]), np.array(bad))
+            with pytest.raises(ValueError, match="finite"):
+                sc.support_function(bad, sc.BallInf([0.0, 0.0], 1.0))
 
 
 def test_support_function_demo_polygon(demo_polygon):
