@@ -72,7 +72,7 @@ class DirectionTemplate:
     @cached_property
     def matrix(self) -> np.ndarray:
         """The rows of :func:`generate_directions`, built once per template; read-only."""
-        D = np.array(generate_directions(self), dtype=float)
+        D = _direction_rows(self)
         D.flags.writeable = False
         return D
 
@@ -81,7 +81,11 @@ class DirectionTemplate:
         """Whether the directions positively span the space, that is, whether
         ``{x : d . x <= 1 for every direction d}`` is bounded.  The template
         polytope of a nonempty set with finite support values has the same
-        recession cone, so it is bounded exactly when this holds."""
+        recession cone, so it is bounded exactly when this holds.  Box and
+        octagon directions always do, and polar ones from three on (their
+        largest gap, 2 pi / k, is then below pi)."""
+        if self.kind in ("box", "oct") or self.kind == "polar" and self.count >= 3:
+            return True
         D = self.matrix
         return _normals_bound_2d(D) if self.dim == 2 else HPolyhedron._from_arrays(D, np.ones(len(D))).is_bounded()
 
@@ -109,48 +113,27 @@ def custom_template(directions) -> DirectionTemplate:
     return DirectionTemplate("custom", dirs[0].size, len(dirs), dirs)
 
 
-def generate_directions(t: DirectionTemplate) -> list[np.ndarray]:
-    """Materialize the template's ordered direction list."""
+def _direction_rows(t: DirectionTemplate) -> np.ndarray:
+    """The template's directions as the rows of one new float array."""
     if t.kind == "box":
-        return [sign * e for e in np.eye(t.dim) for sign in (1.0, -1.0)]
+        # sign * e_i, so the zeros of the negative rows are -0.0.
+        return (np.eye(t.dim)[:, None, :] * np.array([1.0, -1.0])[:, None]).reshape(2 * t.dim, t.dim)
     if t.kind == "oct":
         s = 1.0 / _SQRT2
-        return [
-            np.array(v)
-            for v in [
-                (1.0, 0.0),
-                (s, s),
-                (0.0, 1.0),
-                (-s, s),
-                (-1.0, 0.0),
-                (-s, -s),
-                (0.0, -1.0),
-                (s, -s),
-            ]
-        ]
+        return np.array([(1.0, 0.0), (s, s), (0.0, 1.0), (-s, s), (-1.0, 0.0), (-s, -s), (0.0, -1.0), (s, -s)])
     if t.kind == "polar":
-        out = []
-        for j in range(t.count):
-            angle = 2.0 * math.pi * j / t.count
-            out.append(np.array([math.cos(angle), math.sin(angle)]))
-        return out
+        angles = [2.0 * math.pi * j / t.count for j in range(t.count)]
+        return np.array([[*map(math.cos, angles)], [*map(math.sin, angles)]]).T.copy()
     if t.kind == "spherical":
-        out = []
-        for i in range(t.count):
-            phi = math.pi * i / (t.count - 1)
-            for j in range(t.count):
-                theta = 2.0 * math.pi * j / t.count
-                out.append(
-                    np.array(
-                        [
-                            math.sin(phi) * math.cos(theta),
-                            math.sin(phi) * math.sin(theta),
-                            math.cos(phi),
-                        ]
-                    )
-                )
-        return out
-    return [np.array(d, dtype=float) for d in t.directions]
+        k = t.count
+        grid = [(math.pi * i / (k - 1), 2.0 * math.pi * j / k) for i in range(k) for j in range(k)]
+        return np.array([(math.sin(p) * math.cos(q), math.sin(p) * math.sin(q), math.cos(p)) for p, q in grid])
+    return np.array(t.directions, dtype=float)
+
+
+def generate_directions(t: DirectionTemplate) -> list[np.ndarray]:
+    """Materialize the template's ordered direction list."""
+    return list(_direction_rows(t))
 
 
 def overapproximate_template(X: ConvexSet, t: DirectionTemplate, ctx: ToleranceContext | None = None):

@@ -14,16 +14,19 @@ operands' rows on the way up.  The rules are
     rho(d, M X)          = rho(M^T d, X)
     rho(d, X + b)        = rho(d, X) + d . b
 
-plus a box formula for the symmetric interval hull.  Maps, translations and
-sums whose other operands are concrete form segments, walked in one loop
-down.  The maps of a segment fall into runs of bitwise-equal matrices; a
-run of r maps by M gets the blocks B M, ..., B M^r by repeated squaring, in
-ceil(log2(r+1)) stacked products by M, M^2, M^4, ..., and on the way up
-folds its support vectors in halves with the same powers.  A reach chain
-``X_k = Phi X_{k-1} + E`` is the recurrence
+plus a box formula for the symmetric interval hull.  Square maps,
+translations and sums whose other operands are concrete form segments,
+walked in one loop down.  Each node that starts a step (a square map, or a
+sum or translation over one) records at construction how many equal steps
+start there and the node after them, so the loop jumps a whole run of equal
+steps in one move.  The maps of a segment fall into runs of bitwise-equal
+matrices; a run of r maps by M gets the blocks B M, ..., B M^r by repeated
+squaring, in ceil(log2(r+1)) stacked products by M, M^2, M^4, ..., and on
+the way up folds its support vectors in halves with the same powers.  A
+reach chain ``X_k = Phi X_{k-1} + E`` is the recurrence
 ``rho(d, X_N) = rho((Phi^T)^N d, X_0) + sum_{i<N} rho((Phi^T)^i d, E)``
-(Girard, Le Guernic and Maler, HSCC 2006): about log2 N products, one call
-for every block of E, and one reshape-sum.  An exact
+(Girard, Le Guernic and Maler, HSCC 2006): one move, about log2 N products,
+one call for every block of E, and one reshape-sum.  An exact
 support value over a lazy binary intersection has no composition rule;
 exact queries concretize 2-D intersections and refuse otherwise, while the
 explicit overapproximate mode returns the upper bound
@@ -52,6 +55,7 @@ from .sets import (
     _as_direction,
     _as_vector,
     _axis_directions,
+    _finite_sum,
     _sign_plus,
 )
 from . import concrete_ops
@@ -63,10 +67,12 @@ class LazyNode(ConvexSet):
     """One operation applied to operand sets, evaluated on demand.
 
     ``matrix``/``vector`` carry the payload of map and translation kinds.
-    Nodes are immutable; build them with :func:`make_node`.
+    Nodes are immutable; build them with :func:`make_node`.  Besides its
+    height, a node keeps a run summary, O(1) and set at construction: how
+    many equal steps start at it and the node after the last of them.
     """
 
-    __slots__ = ("kind", "operands", "matrix", "vector", "_dim", "_height", "_lazy")
+    __slots__ = ("kind", "operands", "matrix", "vector", "_dim", "_height", "_lazy", "_run", "_end")
 
     def __init__(self, kind, operands, matrix=None, vector=None, _dim=None):
         operands = tuple(operands)
@@ -77,10 +83,11 @@ class LazyNode(ConvexSet):
                 lazy.append(i)
                 if op._height > height:
                     height = op._height
-        # A map, or a sum with at most one lazy operand, is a segment node:
-        # support queries walk through it to the operand at this index, and
-        # every other operand is concrete.  None for any other node.
-        segment = _KINDS[kind].segment and len(lazy) < 2
+        # A square map, a translation, or a sum with at most one lazy operand
+        # is a segment node: support queries walk through it to the operand at
+        # this index, and every other operand is concrete.  None for any other
+        # node; a map that changes the dimension uses its support rule.
+        segment = _KINDS[kind].segment and len(lazy) < 2 and (matrix is None or len(matrix) == matrix.shape[1])
         init = object.__setattr__
         init(self, "kind", kind)
         init(self, "operands", operands)
@@ -89,6 +96,20 @@ class LazyNode(ConvexSet):
         init(self, "_dim", _dim)
         init(self, "_height", height + 1)
         init(self, "_lazy", (lazy[0] if lazy else 0) if segment else None)
+        # A step is a square map, or a sum or translation over one: the node
+        # and its map, followed by H, the map's operand.  _run counts the
+        # equal steps that start here (0 if none does) and _end is the node
+        # after the last of them: H's summary, one longer, if H's step is equal.
+        run, end = 0, None
+        if segment:
+            L = self if matrix is not None else operands[self._lazy]
+            if type(L) is LazyNode and L._lazy is not None and L.matrix is not None:
+                H = L.operands[0]
+                run, end = 1, H
+                if type(H) is LazyNode and H.kind == kind and H._run and _same_step(self, H):
+                    run, end = H._run + 1, H._end
+        init(self, "_run", run)
+        init(self, "_end", end)
 
     def __setattr__(self, name, value):
         raise AttributeError("LazyNode is immutable")
@@ -185,6 +206,25 @@ def _same_payload(a, b) -> bool:
     return a is b or a is not None and b is not None and np.array_equal(a, b)
 
 
+def _same_step(X, Y) -> bool:
+    # Whether the steps that start at X and Y are equal, node by node down to
+    # the map: the same kind and lazy position, the same concrete operands in
+    # the same positions, and bitwise-equal payloads (``is``, else equal bytes).
+    while True:
+        lazy, operands = X._lazy, Y.operands
+        if Y.kind != X.kind or Y._lazy != lazy or len(operands) != len(X.operands):
+            return False
+        for i, op in enumerate(X.operands):
+            if i != lazy and op is not operands[i]:
+                return False
+        a, b, u, v = X.matrix, Y.matrix, X.vector, Y.vector
+        if not ((a is b or a.tobytes() == b.tobytes()) and (u is v or u.tobytes() == v.tobytes())):
+            return False
+        if a is not None:
+            return True
+        X, Y = X.operands[lazy], operands[lazy]
+
+
 def _unflatten(entries) -> LazyNode:
     """The tree of a :meth:`LazyNode.__reduce__` entry list."""
     built = []
@@ -206,7 +246,8 @@ def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:
     if not operands:
         raise ValueError(f"{kind} needs at least one operand")
     for op in operands:
-        if not isinstance(op, ConvexSet):
+        # LazyNode first: isinstance on the abstract ConvexSet is slow.
+        if type(op) is not LazyNode and not isinstance(op, ConvexSet):
             raise TypeError(f"operand {op!r} is not a set")
 
     arity = _KINDS[kind].arity
@@ -230,6 +271,8 @@ def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:
             raise ValueError(f"{kind} needs a matrix payload")
         # A copy: freezing the caller's own array would make it read-only.
         matrix = np.array(matrix, dtype=float, ndmin=2)
+        if matrix.ndim != 2 or not _finite_sum(matrix.ravel().tolist()) and not np.all(np.isfinite(matrix)):
+            raise ValueError(f"{kind} matrix must be 2-D with finite entries")
         matrix.flags.writeable = False
         if matrix.shape[1] != dims[0]:
             raise DimensionMismatchError(
@@ -300,6 +343,19 @@ def _bounded_intersection(X, D, want):
     if want:
         raise UnsupportedOperationError("support vectors are not available in overapproximate mode")
     return (D, D), False
+
+
+def _mapped(X, D, want):
+    return (D.dot(X.matrix),), want
+
+
+def _map_back(X, D, results, want, ctx):
+    # A map that changes the dimension: sigma(d, M Y + b) = M sigma(M^T d, Y) + b.
+    values, V = results[0]
+    V = V.dot(X.matrix.T) if want else None
+    if X.vector is None:
+        return values, V
+    return values + D.dot(X.vector), (V + X.vector if want else None)
 
 
 def _sum(X, D, results, want, ctx):
@@ -460,12 +516,12 @@ class _Kind(NamedTuple):
     polygon: Callable | None  # concretize: a 2-D node from its operands' values
     member: Callable | None  # membership coroutine
     lazy_operand: bool = False  # the polygon rule reads the operand unconcretized
-    segment: bool = False  # a segment node when at most one operand is lazy
+    segment: bool = False  # a segment node when at most one operand is lazy and a matrix is square
 
 
 _KINDS = {
-    "LinearMap": _Kind(1, None, _mapped_set, _polygon_of(_mapped_set), _preimage, segment=True),
-    "AffineMap": _Kind(1, None, _mapped_set, _polygon_of(_mapped_set), _preimage, segment=True),
+    "LinearMap": _Kind(1, (_mapped, _map_back), _mapped_set, _polygon_of(_mapped_set), _preimage, segment=True),
+    "AffineMap": _Kind(1, (_mapped, _map_back), _mapped_set, _polygon_of(_mapped_set), _preimage, segment=True),
     "Translation": _Kind(1, None, _mapped_set, _on_polygons(_mapped_set), _preimage, segment=True),
     "MinkowskiSum": _Kind(2, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, segment=True),
     "MinkowskiSumArray": _Kind(None, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, segment=True),
@@ -496,20 +552,22 @@ def _evaluate(T, D, ctx, mode, want):
 
     Down: pairs leave a heap by decreasing node height, so each comes after
     all its parents, and stack their distinct incoming blocks.  A segment
-    node (a map, or a sum whose other operands are concrete) heads a
-    segment: one loop follows its lazy operands while they are segment
-    nodes.  Block k of the segment is its stack mapped by the first k maps.
-    The loop records the index of the block each concrete operand and each
-    shift receives, and groups the maps into runs of bitwise-equal
-    matrices (``M is`` the run's matrix, else equal ``tobytes``).  It makes
-    the first block of a run with one product; a run of r >= 2 maps gets
-    the rest by doubling when it ends (:func:`_double`), so it costs
-    ceil(log2(r+1)) products instead of r.  The segment ends at its tail: a
-    concrete set, a node of another kind, a node that another parent may
-    reach, or the operand of a map that changes the dimension.  The tail
-    receives the last block, and each concrete operand its blocks as one
-    slice of a run's stack, or else as one concatenation.  Any other node
-    calls its ``blocks`` rule once on its stack.
+    node (a square map, a translation, or a sum whose other operands are
+    concrete) heads a segment: one loop follows its lazy operands while
+    they are segment nodes.  Block k of the segment is its stack mapped by
+    the first k maps.  Each move of the loop takes one node, or the whole
+    run of r >= 2 equal steps that its construction-time summary records
+    (``_run``, ``_end``).  A move gives each concrete operand and each
+    shift a span of blocks, (first, count), and adds its maps to runs of
+    bitwise-equal matrices (``M is`` the run's matrix, else equal
+    ``tobytes``).  It makes the first block of a run with one product; a
+    run of r >= 2 maps gets the rest by doubling when it ends
+    (:func:`_double`), so it costs ceil(log2(r+1)) products instead of r.
+    The segment ends at its tail: a concrete set, a node of another kind,
+    or a node that another parent may reach.  The tail receives the last
+    block, and each concrete operand its blocks as one slice of a run's
+    stack, or else as one concatenation.  Any other node, and a map that
+    changes the dimension, calls its ``blocks`` rule once on its stack.
 
     Leaves: each concrete set's pair, popped last, makes one
     ``_support_batch`` call on its stack.
@@ -524,8 +582,10 @@ def _evaluate(T, D, ctx, mode, want):
 
     A segment continues into a node only if the node has no pair yet and is
     at least as high as every node still in the heap: all its parents are
-    then past, so none can reach it later.  So no node is walked twice in
-    one query, and the walk is linear in the distinct nodes.
+    then past, so none can reach it later.  A move jumps a run only when
+    the node after it is that high, so every node it skips lies above every
+    pair.  So no node is walked twice in one query, the walk is linear in
+    the distinct nodes, and a uniform N-step chain is one move.
 
     Blocks are told apart by id, so a subtree sent one block by several
     parents evaluates it once; all blocks stay alive until the end, so no
@@ -560,71 +620,88 @@ def _evaluate(T, D, ctx, mode, want):
         else:
             # Block k is S mapped by the first k maps.  A run is a stretch of
             # maps of one bitwise-equal matrix M: the walk makes its first
-            # block with one product, as for any map, and only counts the
-            # others; when the run ends, doubling makes the rest (_double).
-            # Dimensions match along the walk, so a matrix with the run
-            # matrix's bytes has its shape too.
+            # block with one product and only counts the others; when the
+            # run ends, doubling makes the rest (_double).  Dimensions match
+            # along the walk, so a matrix with the run matrix's bytes has its
+            # shape too.
             m, k, r, B, blocks = len(S), 0, 0, S, [S]
-            runs, shifts, concrete, last = [], [], {}, None
+            runs, shifts, concrete = [], [], {}
             run_matrix = run_bytes = start = None
+            # The heap's top stays put during the walk, and no node above it
+            # has a pair or can get one: all its parents are past.
+            top = -heap[0][0] if heap else 0
             while True:
-                operands, lazy = X.operands, X._lazy
-                if len(operands) > 1:
-                    for i, C in enumerate(operands):
-                        if i != lazy:
-                            cid = id(C)
-                            if cid in concrete:
-                                concrete[cid][1].append(k)
+                # A move takes the c >= 2 equal steps that start at X when the
+                # node after them is no lower than the top, else X alone.
+                c, Y = X._run, X._end
+                if c < 2 or (Y._height if type(Y) is LazyNode else 0) < top:
+                    c, Y = 1, None
+                while True:
+                    # X and the c - 1 equal nodes after it: blocks k..k+c-1
+                    # for concrete operands and shifts, c maps of M.
+                    operands, lazy = X.operands, X._lazy
+                    if len(operands) > 1:
+                        for i, C in enumerate(operands):
+                            if i != lazy:
+                                entry = concrete.get(id(C))
+                                if entry is None:
+                                    concrete[id(C)] = [C, [(k, c)], c]
+                                else:
+                                    # Spans that meet merge: blocks with none
+                                    # twice and none skipped are one span.
+                                    spans, (s, n) = entry[1], entry[1][-1]
+                                    spans[-1:] = [(s, n + c)] if s + n == k else [(s, n), (k, c)]
+                                    entry[2] += c
+                    else:
+                        if X.vector is not None:
+                            shifts.append((X.vector, k, c))
+                        M = X.matrix
+                        if M is not None:
+                            if r and M is not run_matrix:
+                                # The run's bytes are read once, when a second map comes.
+                                if run_bytes is None:
+                                    run_bytes = run_matrix.tobytes()
+                                if M.tobytes() == run_bytes:
+                                    run_matrix = M
+                            if r and M is run_matrix:
+                                r += c
                             else:
-                                concrete[cid] = (C, [k])
-                else:
-                    if X.vector is not None:
-                        shifts.append((X.vector, k))
-                    M = X.matrix
-                    if M is not None:
-                        if r and M is not run_matrix:
-                            # The run's bytes are read once, when a second map comes.
-                            if run_bytes is None:
-                                run_bytes = run_matrix.tobytes()
-                            if M.tobytes() == run_bytes:
-                                run_matrix = M
-                        if r and M is run_matrix:
-                            r += 1
-                        else:
-                            if r > 1:
-                                B = _double(run_matrix, k - r, r, start, blocks, m)
-                            if M.shape[1] != len(M):
-                                # A map that changes the dimension ends the
-                                # segment, so all its blocks have one width.
-                                r, last, Y = 0, M, operands[0]
-                                break
-                            runs.append((k, M))
-                            run_matrix, run_bytes, r, start = M, None, 1, B
-                            B = B.dot(M)
-                            blocks.append(B)
-                        k += 1
-                Y = operands[lazy]
+                                if r > 1:
+                                    B = _double(run_matrix, k - r, r, start, blocks, m)
+                                runs.append((k, M))
+                                run_matrix, run_bytes, r, start = M, None, c, B
+                                B = B.dot(M)
+                                blocks.append(B)
+                            k += c
+                    if c == 1 or X.matrix is not None:
+                        break
+                    X = operands[lazy]
+                if Y is None:
+                    Y = operands[lazy]
                 if type(Y) is not LazyNode or Y._lazy is None:
                     break
                 # Y's pair, if it has one, waits in the heap (pairs leave it by
-                # decreasing height, and Y is below the head): an empty heap
-                # means Y has none.
-                if heap and (Y._height < -heap[0][0] or (id(Y), w) in pairs):
+                # decreasing height, and Y is below the head), no higher than
+                # its top.
+                h = Y._height
+                if h < top or h == top and (id(Y), w) in pairs:
                     break
                 X = Y
             if r > 1:
                 B = _double(run_matrix, k - r, r, start, blocks, m)
-            tail, sends, shift = B if last is None else B.dot(last), [], None
-            for b, i in shifts:
+            tail, sends, shift = B, [], None
+            for b, i, c in shifts:
                 B = blocks[i]
-                row = (B if type(B) is not tuple else _gather(blocks, m, [i])).dot(b)
+                if c > 1 or type(B) is tuple:
+                    B = _gather(blocks, m, [(i, c)])
+                row = B.dot(b) if c == 1 else B.dot(b).reshape(c, m).sum(axis=0)
                 shift = row if shift is None else shift + row
-            for C, ks in concrete.values():
-                B = blocks[ks[0]]
-                sends.append((C, B if len(ks) == 1 and type(B) is not tuple else _gather(blocks, m, ks)))
+            for C, spans, count in concrete.values():
+                B = blocks[spans[0][0]]
+                sends.append((C, B if count == 1 and type(B) is not tuple else _gather(blocks, m, spans)))
             sends.append((Y, tail))
             # The up step combines the segment, not its head node alone.
-            combine, X, cw = _segment_combine, (m, k, runs, blocks, shifts, concrete, last, shift), w
+            combine, X, cw = _segment_combine, (m, k, runs, blocks, shifts, concrete, shift), w
         links = []
         for op, B in sends:
             key = (id(op), cw)
@@ -665,63 +742,55 @@ def _double(M, s, r, B, blocks, m):
     return piece[r * m :]
 
 
-def _consecutive(ks) -> bool:
-    # Sorted block indices with none twice and none skipped.
-    return ks[-1] - ks[0] == len(ks) - 1 and len(set(ks)) == len(ks)
-
-
-def _gather(blocks, m, ks):
-    """The rows of blocks ks stacked in order: a slice of one stack when they
-    are consecutive (none twice, none skipped) and that stack holds them,
-    else one concatenation."""
-    first, top = ks[0], ks[-1]
-    B = blocks[top]
-    if type(B) is tuple and B[0] <= first and _consecutive(ks):
-        s, piece, _ = B
-        return piece[(first - s) * m : (top + 1 - s) * m]
+def _gather(blocks, m, spans):
+    """The rows of the blocks in ``spans``, (first, count) pairs in order,
+    stacked: a slice of one stack when they are one span and that stack
+    holds them, else one concatenation."""
+    first, (s, c) = spans[0][0], spans[-1]
+    B = blocks[s + c - 1]
+    if len(spans) == 1 and type(B) is tuple and B[0] <= first:
+        return B[1][(first - B[0]) * m : (first + c - B[0]) * m]
     rows = []
-    for i in ks:
-        B = blocks[i]
-        if type(B) is tuple:
-            s, piece, _ = B
-            B = piece[(i - s) * m : (i + 1 - s) * m]
-        rows.append(B)
+    for s, c in spans:
+        for i in range(s, s + c):
+            B = blocks[i]
+            if type(B) is tuple:
+                B = B[1][(i - B[0]) * m : (i + 1 - B[0]) * m]
+            rows.append(B)
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 def _segment_combine(segment, S, results, want, ctx):
     # The up step of a segment: ``results`` holds the stacked rows of each
     # concrete operand in ``concrete`` order, then its tail's rows.
-    m, count, runs, blocks, shifts, concrete, last, shift = segment
+    m, k, runs, blocks, shifts, concrete, shift = segment
     values, V = results[-1]
     if shift is not None:
         values = values + shift
-    for (_, ks), (more, _) in zip(concrete.values(), results):
-        values = values + (more if len(ks) == 1 else more.reshape(len(ks), m).sum(axis=0))
+    for (_, _, count), (more, _) in zip(concrete.values(), results):
+        values = values + (more if count == 1 else more.reshape(count, m).sum(axis=0))
     if not want:
         return values, None
     # sigma(d, M Y + b) = M sigma(M^T d, Y) + b, and a sum adds each concrete
     # operand's vector at its block: the vector is sum_k U_k (M_1 ... M_k)^T,
     # where U_k adds what block k's operands and shifts answered.
-    if last is not None:
-        V = V.dot(last.T)
     n = V.shape[1]
-    U = np.zeros((count + 1, m, n))
-    U[count] = V
-    for (_, ks), (_, W) in zip(concrete.values(), results):
-        W = W.reshape(len(ks), m, n)
-        if _consecutive(ks):
-            U[ks[0] : ks[-1] + 1] += W
+    U = np.zeros((k + 1, m, n))
+    U[k] = V
+    for (_, spans, count), (_, W) in zip(concrete.values(), results):
+        W = W.reshape(count, m, n)
+        if len(spans) == 1:
+            U[spans[0][0] : spans[0][0] + count] += W
         else:
-            np.add.at(U, ks, W)
-    for b, k in shifts:
-        U[k] += b
+            np.add.at(U, [i for s, c in spans for i in range(s, s + c)], W)
+    for b, i, c in shifts:
+        U[i : i + c] += b
     # Bottom run first, each into its first block: a run of r maps by M from
     # block s sums U_{s+i} (M^T)^i for i = 0..r, whose last term already
     # holds the runs below.  Folding in halves pairs the terms i and i + h,
     # U_{s+i} += U_{s+i+h} (M^h)^T, for h = ..., 4, 2, 1: the powers of the
     # way down, each in one product of a 2-D stack.
-    top = count
+    top = k
     for s, M in reversed(runs):
         powers, length = (M,) if top == s + 1 else blocks[top][2], top + 1 - s
         for t in range(len(powers) - 1, -1, -1):

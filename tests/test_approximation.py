@@ -131,6 +131,22 @@ def test_template_boundedness_is_decided_once_per_template(lp_calls):
         assert isinstance(H, sc.HPolytope) == sc.HPolyhedron(list(H.constraints)).is_bounded()
 
 
+def test_stock_template_rows_bit_for_bit():
+    # One array per template holds the rows the per-row formulas give, signed
+    # zeros included; boundedness of stock kinds needs no computation.
+    for k in (1, 2, 3, 7, 64):
+        rows = generate_directions(polar_template(k))
+        angles = [2.0 * math.pi * j / k for j in range(k)]
+        assert [r.tobytes() for r in rows] == [np.array([math.cos(a), math.sin(a)]).tobytes() for a in angles]
+        assert polar_template(k).bounded == sc.sets._normals_bound_2d(polar_template(k).matrix) == (k >= 3)
+    for n in (1, 3):
+        rows = generate_directions(box_template(n))
+        assert [r.tobytes() for r in rows] == [(s * e).tobytes() for e in np.eye(n) for s in (1.0, -1.0)]
+    grid = [(math.pi * i / 3, 2.0 * math.pi * j / 4) for i in range(4) for j in range(4)]
+    assert [r.tobytes() for r in generate_directions(spherical_template(4))] == [
+        np.array([math.sin(p) * math.cos(q), math.sin(p) * math.sin(q), math.cos(p)]).tobytes() for p, q in grid]
+
+
 def test_template_direction_matrix_is_built_once(monkeypatch):
     # The matrix holds generate_directions' rows, read-only, and a template
     # builds it once however many queries read it.
@@ -140,7 +156,8 @@ def test_template_direction_matrix_is_built_once(monkeypatch):
         np.testing.assert_array_equal(t.matrix, np.array(generate_directions(t)))
         assert not t.matrix.flags.writeable
     calls = []
-    monkeypatch.setattr(sc.approximation, "generate_directions", lambda t: calls.append(t) or generate_directions(t))
+    rows = sc.approximation._direction_rows
+    monkeypatch.setattr(sc.approximation, "_direction_rows", lambda t: calls.append(t) or rows(t))
     t, X = polar_template(16), sc.BallInf([0.5, -0.5], 1.0)
     first = overapproximate_template(X, t)
     for _ in range(3):

@@ -570,6 +570,11 @@ def _recipe_case(rng, n, steps):
 
 def _check_recipe(rng, n, steps, rows=7):
     tree, support = _recipe_case(rng, n, steps)
+    _check_tree(rng, tree, support, rows)
+    return tree
+
+
+def _check_tree(rng, tree, support, rows=7):
     D = np.array([random_unit_direction(rng, tree.dim) for _ in range(rows)]).reshape(rows, tree.dim)
     values, vectors = support(D)
     for mode in ("exact", "overapproximate"):
@@ -665,3 +670,152 @@ def test_maps_that_change_the_dimension():
     _check_recipe(rng, 2, steps)
     _check_recipe(rng, 2, steps + [("sum", [E3], 0)])
     _check_recipe(rng, 2, _reach_steps(A2, E2, 4) + [("affine", down, rng.normal(size=6)), ("sum", [E6], 1)])
+
+
+# ---------------------------------------------------------------------------
+# Run summaries: every node that starts a step (a square map, or a sum or
+# translation over one) counts at construction the equal steps that start
+# there, and the walk takes them in one move.
+
+
+def _step_forms(rng, n):
+    M, b = _stable(rng, n), rng.uniform(-0.2, 0.2, n)
+    E, Z = _np_leaf(rng, n, "box"), _np_leaf(rng, n, "zonotope")
+    return {
+        "sum_map_at_0": [("map", M), ("sum", [E], 0)],
+        "sum_map_at_1": [("map", M), ("sum", [E], 1)],
+        "sum_array_map": [("map", M), ("sum", [E, Z], 1)],
+        "translation_map": [("map", M), ("translate", b)],
+        "linear_map": [("map", M)],
+        "affine_map": [("affine", M, b)],
+        "sum_affine_map": [("affine", M, b), ("sum", [E], 0)],
+    }
+
+
+@pytest.mark.parametrize("form", sorted(_step_forms(np.random.default_rng(0), 2)))
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 8, 9, 31, 32, 33])
+def test_run_summaries_of_every_form_and_length(form, length):
+    rng = np.random.default_rng([length, len(form)])
+    tree = _check_recipe(rng, 3, _step_forms(rng, 3)[form] * length)
+    assert tree._run == length and not isinstance(tree._end, sc.LazyNode)
+
+
+def test_one_node_extended_by_two_parents():
+    # X ends a run of 10 steps by A; one parent extends it, the other starts
+    # a run of its own, and X's summary stays as it was.
+    rng = np.random.default_rng(17)
+    A, B, E = _stable(rng, 2), _stable(rng, 2), sc.Hyperrectangle([0.01, 0.0], [0.002, 0.003])
+    X = sc.Zonotope(rng.uniform(-1, 1, 2), rng.uniform(-0.3, 0.3, (2, 3)))
+    base = X
+    for _ in range(10):
+        X = make_node("MinkowskiSum", [make_node("LinearMap", [X], matrix=A), E])
+    same = make_node("MinkowskiSum", [make_node("LinearMap", [X], matrix=A.copy()), E])
+    other = make_node("MinkowskiSum", [make_node("LinearMap", [X], matrix=B), E])
+    assert (X._run, same._run, other._run) == (10, 11, 1)
+    assert X._end is base and same._end is base and other._end is X
+    D = np.array([random_unit_direction(rng) for _ in range(9)])
+    for tree in (same, other, make_node("MinkowskiSum", [same, other]), make_node("Union", [same, other, X])):
+        for mode in ("exact", "overapproximate"):
+            for want in (False, True):
+                part = 1 if want else 0
+                reference = np.array([reference_support_pair(d, tree, CTX, mode, want)[part] for d in D])
+                _assert_same(_evaluate(tree, D, CTX, mode, want)[part], reference)
+
+
+def test_equal_but_distinct_operands_break_the_run():
+    rng = np.random.default_rng(23)
+    M, E = _stable(rng, 2), _np_leaf(rng, 2, "box")
+    twin = (E[0], E[1].copy(), E[2].copy())  # equal values, another set object
+    tree = _check_recipe(rng, 2, _reach_steps(M, E, 6) + _reach_steps(M, twin, 5))
+    assert tree._run == 5 and tree._end._run == 6
+    one, _ = _recipe_case(np.random.default_rng(3), 2, _reach_steps(M, E, 11))
+    two, _ = _recipe_case(np.random.default_rng(3), 2, _reach_steps(M, E, 6) + _reach_steps(M, twin, 5))
+    assert (one._run, two._run) == (11, 5)
+    D = np.array(sc.generate_directions(polar_template(16)))
+    for got, expected in zip(two.support_batch(D, vectors=True), one.support_batch(D, vectors=True)):
+        np.testing.assert_allclose(got, expected, rtol=RTOL, atol=RTOL)
+    np.testing.assert_allclose(two.support_batch(D)[0], one.support_batch(D)[0], rtol=RTOL, atol=RTOL)
+
+
+def test_runs_break_at_any_difference():
+    # Five equal steps over six that differ from them in one thing only.
+    rng = np.random.default_rng(37)
+    M, b, c = _stable(rng, 2), rng.uniform(-0.2, 0.2, 2), rng.uniform(-0.2, 0.2, 2)
+    E, Z = _np_leaf(rng, 2, "box"), _np_leaf(rng, 2, "zonotope")
+    signed = M.copy()
+    signed[np.unravel_index(np.argmin(np.abs(M)), M.shape)] = 0.0
+    zero = signed.copy()
+    zero[zero == 0.0] = -0.0
+    pairs = [
+        ([("affine", M, b)], [("affine", M, c)]),
+        ([("map", M), ("translate", b)], [("map", M), ("translate", c)]),
+        ([("map", M), ("sum", [E], 0)], [("map", M), ("sum", [E], 1)]),
+        ([("map", M), ("sum", [E, Z], 0)], [("map", M), ("sum", [Z, E], 0)]),
+        ([("map", signed), ("sum", [E], 0)], [("map", zero), ("sum", [E], 0)]),
+        ([("map", M)], [("affine", M, b)]),
+    ]
+    for below, above in pairs:
+        tree = _check_recipe(rng, 2, below * 6 + above * 5)
+        assert tree._run == 5 and tree._end._run == 6
+
+
+def test_query_rooted_inside_a_step():
+    # The map of a sum + map step starts a lone-map step of its own, so a
+    # query on it moves one node and then jumps the run below, which extends
+    # the same run of maps.
+    rng = np.random.default_rng(29)
+    M, E = _stable(rng, 2), _np_leaf(rng, 2, "box")
+    inner, support = _recipe_case(rng, 2, _reach_steps(M, E, 12) + [("map", M)])
+    outer = make_node("MinkowskiSum", [inner, inner.operands[0].operands[1]])
+    assert (outer._run, inner._run, inner.operands[0]._run) == (13, 1, 12)
+    _check_tree(rng, inner, support)
+
+
+def test_non_square_map_inside_a_chain():
+    rng = np.random.default_rng(31)
+    A2, A6, E2, E6 = _stable(rng, 2), _stable(rng, 6), _np_leaf(rng, 2, "box"), _np_leaf(rng, 6, "box")
+    down = rng.normal(size=(6, 2))
+    tree = _check_recipe(rng, 2, _reach_steps(A2, E2, 9) + [("map", down)] + _reach_steps(A6, E6, 8))
+    # The 6 x 2 map uses its own rule and starts no step: each run ends at it.
+    projection = tree._end
+    assert tree._run == 8 and projection.matrix.shape == (6, 2)
+    assert projection._lazy is None and projection._run == 0 and projection.operands[0]._run == 9
+
+
+def test_uniform_chain_is_walked_in_one_move(monkeypatch):
+    # A query reads the operands of the few nodes it walks, not of the 400
+    # nodes below the root.
+    steps = _chain(200, np.random.default_rng(7))
+    tree = steps[-1]
+    assert tree._run == 200 and tree._end is steps[0]
+    reads = collections.Counter()
+    slot = sc.LazyNode.operands
+    monkeypatch.setattr(sc.LazyNode, "operands", property(lambda X: reads.update([id(X)]) or slot.__get__(X)))
+    D = np.array(sc.generate_directions(polar_template(16)))
+    queries = {
+        "template": lambda: overapproximate_template(tree, polar_template(64)),
+        "values": lambda: tree.support_batch(D),
+        "vectors": lambda: tree.support_batch(D, vectors=True),
+        "one": lambda: lazy_support_function(D[3], tree),
+    }
+    for name, query in queries.items():
+        reads.clear()
+        query()
+        assert 0 < len(reads) <= 8, name
+
+
+def test_moves_never_skip_a_shared_step(monkeypatch):
+    # Every step of a flowpipe also hangs from the union, so the walk takes
+    # them one by one: each segment holds one map, and no run is doubled.
+    # The same chain alone is one move, one doubled run of 30 maps.
+    lengths = []
+    double = sc.lazyops._double
+    monkeypatch.setattr(sc.lazyops, "_double", lambda M, s, r, *rest: lengths.append(r) or double(M, s, r, *rest))
+    steps = _chain(30, np.random.default_rng(41))
+    D = np.array(sc.generate_directions(polar_template(16)))
+    for want in (False, True):
+        make_node("Union", steps[1:]).support_batch(D, vectors=want)
+        assert lengths == []
+        steps[-1].support_batch(D, vectors=want)
+        assert lengths == [30]
+        lengths.clear()

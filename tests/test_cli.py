@@ -153,6 +153,19 @@ def test_cmd_support_unsupported_kind(tmp_path, capsys):
     assert main(["support", "--doc", doc, "--dir", "1,0"]) == 3
 
 
+def test_cmd_support_rejects_bad_matrices(tmp_path, capsys):
+    # json accepts NaN; a map whose matrix holds it, or whose matrix is not
+    # 2-D, is a bad document (exit 2) for support as for concretize.
+    leaf = {"set": "BallInf", "center": [0, 0], "radius": 1}
+    for name, matrix in (("nan", "[[NaN, 0], [0, 1]]"), ("cube", "[[[1, 0], [0, 1]], [[1, 0], [0, 1]]]")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(f'{{"op": "LinearMap", "matrix": {matrix}, "args": [{json.dumps(leaf)}]}}')
+        for command in (["support", "--doc", str(path), "--dir", "0,1"], ["concretize", "--doc", str(path)]):
+            assert main(command) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "2-D with finite entries" in captured.err
+
+
 def test_cmd_overapprox_oct(tmp_path, capsys):
     doc = _write(tmp_path, "poly.json", POLYGON_DOC)
     assert main(["overapprox", "--doc", doc, "--template", "oct"]) == 0

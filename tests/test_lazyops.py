@@ -62,6 +62,20 @@ def test_make_node_rejects_stray_payloads():
         make_node("Translation", [E], matrix=np.eye(2), vector=[5.0, 5.0])
 
 
+@pytest.mark.parametrize("kind", ["LinearMap", "AffineMap"])
+def test_make_node_rejects_bad_matrices(kind):
+    # A non-finite or non-2-D matrix is refused when the node is built, not
+    # answered with nan or a TypeError at query time.
+    X = sc.BallInf(np.zeros(2), 1.0)
+    vector = [0.5, 0.0] if kind == "AffineMap" else None
+    for matrix in ([[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [-np.inf, 1.0]], np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="2-D with finite entries"):
+            make_node(kind, [X], matrix=matrix, vector=vector)
+    # Finite entries whose sum overflows are accepted.
+    node = make_node(kind, [X], matrix=[[1e308, 1e308], [0.0, 1.0]], vector=vector)
+    assert np.all(np.isfinite(node.matrix))
+
+
 def test_translation_zero_is_identity():
     box = sc.BallInf(np.zeros(2), 1.0)
     node = make_node("Translation", [box], vector=[0.0, 0.0])
