@@ -81,11 +81,7 @@ class DirectionTemplate:
         """Whether the directions positively span the space, that is, whether
         ``{x : d . x <= 1 for every direction d}`` is bounded.  The template
         polytope of a nonempty set with finite support values has the same
-        recession cone, so it is bounded exactly when this holds.  Box and
-        octagon directions always do, and polar ones from three on (their
-        largest gap, 2 pi / k, is then below pi)."""
-        if self.kind in ("box", "oct") or self.kind == "polar" and self.count >= 3:
-            return True
+        recession cone, so it is bounded exactly when this holds."""
         D = self.matrix
         return _normals_bound_2d(D) if self.dim == 2 else HPolyhedron._from_arrays(D, np.ones(len(D))).is_bounded()
 

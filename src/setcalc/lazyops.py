@@ -106,7 +106,7 @@ class LazyNode(ConvexSet):
             if type(L) is LazyNode and L._lazy is not None and L.matrix is not None:
                 H = L.operands[0]
                 run, end = 1, H
-                if type(H) is LazyNode and H.kind == kind and H._run and _same_step(self, H):
+                if type(H) is LazyNode and H._run and _same_step(self, H):
                     run, end = H._run + 1, H._end
         init(self, "_run", run)
         init(self, "_end", end)

@@ -133,12 +133,12 @@ def test_template_boundedness_is_decided_once_per_template(lp_calls):
 
 def test_stock_template_rows_bit_for_bit():
     # One array per template holds the rows the per-row formulas give, signed
-    # zeros included; boundedness of stock kinds needs no computation.
+    # zeros included.
     for k in (1, 2, 3, 7, 64):
         rows = generate_directions(polar_template(k))
         angles = [2.0 * math.pi * j / k for j in range(k)]
         assert [r.tobytes() for r in rows] == [np.array([math.cos(a), math.sin(a)]).tobytes() for a in angles]
-        assert polar_template(k).bounded == sc.sets._normals_bound_2d(polar_template(k).matrix) == (k >= 3)
+        assert polar_template(k).bounded == (k >= 3)
     for n in (1, 3):
         rows = generate_directions(box_template(n))
         assert [r.tobytes() for r in rows] == [(s * e).tobytes() for e in np.eye(n) for s in (1.0, -1.0)]
