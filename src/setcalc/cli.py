@@ -67,21 +67,33 @@ def _need(obj: dict, key: str, kind: str):
 
 
 def parse_node(obj):
-    """Build a set or lazy node from one JSON object (dimensions validated)."""
+    """Build a set or lazy node from one JSON object (dimensions validated).
+
+    Leaves with the same canonical JSON text are built once and shared, as
+    in the tree that was serialized."""
+    return _parse(obj, {})
+
+
+def _parse(obj, leaves):
+    # ``leaves`` maps the canonical JSON text of each leaf built so far to its set.
     if not isinstance(obj, dict):
         raise DocumentError(f"expected a JSON object, got {type(obj).__name__}")
     if "set" in obj:
         kind = obj["set"]
         if kind not in _SET_FIELDS:
             raise DocumentError(f"unknown set kind {kind!r}")
+        text = json.dumps(obj, sort_keys=True)
+        if text in leaves:
+            return leaves[text]
         cls, fields = _SET_FIELDS[kind]
         try:
-            return cls(*[_need(obj, key, kind) for key in fields])
+            leaves[text] = cls(*[_need(obj, key, kind) for key in fields])
         except (ValueError, DimensionMismatchError) as exc:
             raise DocumentError(f"invalid {kind} document: {exc}") from exc
+        return leaves[text]
     if "op" in obj:
         kind = obj["op"]
-        args = [parse_node(a) for a in _need(obj, "args", kind)]
+        args = [_parse(a, leaves) for a in _need(obj, "args", kind)]
         try:
             return lazyops.make_node(kind, args, obj.get("matrix"), obj.get("vector"))
         except UnsupportedOperationError:

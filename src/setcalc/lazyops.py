@@ -14,18 +14,16 @@ operands' rows on the way up.  The rules are
     rho(d, M X)          = rho(M^T d, X)
     rho(d, X + b)        = rho(d, X) + d . b
 
-plus a box formula for the symmetric interval hull.  Square maps,
-translations and sums whose other operands are concrete form segments,
-walked in one loop down.  Each node that starts a step (a square map, or a
-sum or translation over one) records at construction how many equal steps
-start there and the node after them, so the loop jumps a whole run of equal
-steps in one move.  The maps of a segment fall into runs of bitwise-equal
-matrices; a run of r maps by M gets the blocks B M, ..., B M^r by repeated
-squaring, in ceil(log2(r+1)) stacked products by M, M^2, M^4, ..., and on
-the way up folds its support vectors in halves with the same powers.  A
-reach chain ``X_k = Phi X_{k-1} + E`` is the recurrence
+plus a box formula for the symmetric interval hull.  A step is a square
+map, or a sum or translation over one whose other operands are concrete.
+Each node that starts a step records at construction how many equal steps
+start there and the node after them, so a query takes a whole run of c
+equal steps by M as one pair: the blocks B, B M, ..., B M^c come by
+repeated squaring, in ceil(log2(c+1)) stacked products by M, M^2, M^4, ...,
+and on the way up its support vectors fold in halves with the same powers.
+A reach chain ``X_k = Phi X_{k-1} + E`` is the recurrence
 ``rho(d, X_N) = rho((Phi^T)^N d, X_0) + sum_{i<N} rho((Phi^T)^i d, E)``
-(Girard, Le Guernic and Maler, HSCC 2006): one move, about log2 N products,
+(Girard, Le Guernic and Maler, HSCC 2006): one pair, about log2 N products,
 one call for every block of E, and one reshape-sum.  An exact
 support value over a lazy binary intersection has no composition rule;
 exact queries concretize 2-D intersections and refuse otherwise, while the
@@ -84,10 +82,10 @@ class LazyNode(ConvexSet):
                 if op._height > height:
                     height = op._height
         # A square map, a translation, or a sum with at most one lazy operand
-        # is a segment node: support queries walk through it to the operand at
-        # this index, and every other operand is concrete.  None for any other
-        # node; a map that changes the dimension uses its support rule.
-        segment = _KINDS[kind].segment and len(lazy) < 2 and (matrix is None or len(matrix) == matrix.shape[1])
+        # may start a step, which goes on through the operand at this index;
+        # every other operand is concrete.  None for any other node, and for
+        # a map that changes the dimension.
+        step = _KINDS[kind].step and len(lazy) < 2 and (matrix is None or len(matrix) == matrix.shape[1])
         init = object.__setattr__
         init(self, "kind", kind)
         init(self, "operands", operands)
@@ -95,13 +93,13 @@ class LazyNode(ConvexSet):
         init(self, "vector", vector)
         init(self, "_dim", _dim)
         init(self, "_height", height + 1)
-        init(self, "_lazy", (lazy[0] if lazy else 0) if segment else None)
+        init(self, "_lazy", (lazy[0] if lazy else 0) if step else None)
         # A step is a square map, or a sum or translation over one: the node
         # and its map, followed by H, the map's operand.  _run counts the
         # equal steps that start here (0 if none does) and _end is the node
         # after the last of them: H's summary, one longer, if H's step is equal.
         run, end = 0, None
-        if segment:
+        if step:
             L = self if matrix is not None else operands[self._lazy]
             if type(L) is LazyNode and L._lazy is not None and L.matrix is not None:
                 H = L.operands[0]
@@ -307,7 +305,7 @@ def _offsets(X):
 
 
 # ---------------------------------------------------------------------------
-# Support rules of the nodes outside segments: ``blocks(X, D, want)`` returns
+# Support rules of the nodes outside run pairs: ``blocks(X, D, want)`` returns
 # the direction block each operand receives and whether the operands' support
 # vectors are needed; ``combine(X, D, results, want, ctx)`` turns the
 # operands' (values, vectors) into the node's.  ``ndarray.dot`` beats ``@`` on
@@ -350,9 +348,10 @@ def _mapped(X, D, want):
 
 
 def _map_back(X, D, results, want, ctx):
-    # A map that changes the dimension: sigma(d, M Y + b) = M sigma(M^T d, Y) + b.
+    # A map, or a translation (no matrix): sigma(d, M Y + b) = M sigma(M^T d, Y) + b.
     values, V = results[0]
-    V = V.dot(X.matrix.T) if want else None
+    if want and X.matrix is not None:
+        V = V.dot(X.matrix.T)
     if X.vector is None:
         return values, V
     return values + D.dot(X.vector), (V + X.vector if want else None)
@@ -511,20 +510,20 @@ def _singleton_shift(X, x, ctx):
 
 class _Kind(NamedTuple):
     arity: int | None  # operand count; None means two or more
-    support: tuple | None  # (blocks, combine) of the support pass outside segments
+    support: tuple | None  # (blocks, combine) of the support pass outside run pairs
     zonotope: Callable | None  # concretize: closed form on zonotope operands
     polygon: Callable | None  # concretize: a 2-D node from its operands' values
     member: Callable | None  # membership coroutine
     lazy_operand: bool = False  # the polygon rule reads the operand unconcretized
-    segment: bool = False  # a segment node when at most one operand is lazy and a matrix is square
+    step: bool = False  # may start a step when at most one operand is lazy and a matrix is square
 
 
 _KINDS = {
-    "LinearMap": _Kind(1, (_mapped, _map_back), _mapped_set, _polygon_of(_mapped_set), _preimage, segment=True),
-    "AffineMap": _Kind(1, (_mapped, _map_back), _mapped_set, _polygon_of(_mapped_set), _preimage, segment=True),
-    "Translation": _Kind(1, None, _mapped_set, _on_polygons(_mapped_set), _preimage, segment=True),
-    "MinkowskiSum": _Kind(2, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, segment=True),
-    "MinkowskiSumArray": _Kind(None, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, segment=True),
+    "LinearMap": _Kind(1, (_mapped, _map_back), _mapped_set, _polygon_of(_mapped_set), _preimage, step=True),
+    "AffineMap": _Kind(1, (_mapped, _map_back), _mapped_set, _polygon_of(_mapped_set), _preimage, step=True),
+    "Translation": _Kind(1, (_same, _map_back), _mapped_set, _on_polygons(_mapped_set), _preimage, step=True),
+    "MinkowskiSum": _Kind(2, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, step=True),
+    "MinkowskiSumArray": _Kind(None, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, step=True),
     "CartesianProduct": _Kind(
         2, (_sliced, _product), _product_set, _polygon_of(_product_set),
         _decided_by(False, lambda X, x: np.split(x, _offsets(X))),
@@ -551,41 +550,30 @@ def _evaluate(T, D, ctx, mode, want):
     in three phases over (node, want) pairs.
 
     Down: pairs leave a heap by decreasing node height, so each comes after
-    all its parents, and stack their distinct incoming blocks.  A segment
-    node (a square map, a translation, or a sum whose other operands are
-    concrete) heads a segment: one loop follows its lazy operands while
-    they are segment nodes.  Block k of the segment is its stack mapped by
-    the first k maps.  Each move of the loop takes one node, or the whole
-    run of r >= 2 equal steps that its construction-time summary records
-    (``_run``, ``_end``).  A move gives each concrete operand and each
-    shift a span of blocks, (first, count), and adds its maps to runs of
-    bitwise-equal matrices (``M is`` the run's matrix, else equal
-    ``tobytes``).  It makes the first block of a run with one product; a
-    run of r >= 2 maps gets the rest by doubling when it ends
-    (:func:`_double`), so it costs ceil(log2(r+1)) products instead of r.
-    The segment ends at its tail: a concrete set, a node of another kind,
-    or a node that another parent may reach.  The tail receives the last
-    block, and each concrete operand its blocks as one slice of a run's
-    stack, or else as one concatenation.  Any other node, and a map that
-    changes the dimension, calls its ``blocks`` rule once on its stack.
+    all its parents, and stack their distinct incoming blocks.  A node X
+    that starts c >= 1 equal steps (``_run``; a step is a square map, or a
+    sum or translation over one) is one *run pair* if no node it skips can
+    be reached another way.  That holds when the node after the skipped
+    ones is no lower than the heap's top: the pair then takes all c steps,
+    with tail ``_end``, or else X's own step, with tail H, the node after
+    it, if X is a lone map or H is that high.  A run pair of c steps by M
+    makes the blocks S, S M, ..., S M^c by repeated squaring
+    (:func:`_powers`); the steps' concrete operands get the first c as one
+    stack, and the tail gets the last.  Any other node, and a node whose
+    steps cannot be skipped, calls its kind's ``blocks`` rule on its stack.
 
     Leaves: each concrete set's pair, popped last, makes one
     ``_support_batch`` call on its stack.
 
-    Up: in reverse order, each segment adds its tail's rows, the shifts
-    ``B . b`` of its translations and affine maps, and one ``reshape``-sum
-    per concrete operand.  For support vectors it adds, per block, what
-    that block's operands and shifts answered, and folds each run, bottom
-    run first, in halves with the powers of the way down
-    (:func:`_segment_combine`).  Any other node calls its ``combine`` rule
-    once.
+    Up: in reverse order, a run pair adds to its tail's rows one
+    ``reshape``-sum per concrete operand and the shifts ``B . b`` of its
+    translations and affine maps, and folds its support vectors in halves
+    with the powers of the way down (:func:`_run_combine`).  Any other node
+    calls its ``combine`` rule once.
 
-    A segment continues into a node only if the node has no pair yet and is
-    at least as high as every node still in the heap: all its parents are
-    then past, so none can reach it later.  A move jumps a run only when
-    the node after it is that high, so every node it skips lies above every
-    pair.  So no node is walked twice in one query, the walk is linear in
-    the distinct nodes, and a uniform N-step chain is one move.
+    No node above the heap's top has a pair or can get one, since all its
+    parents are past; so no node is walked twice in one query, the walk is
+    linear in the distinct nodes, and a uniform N-step chain is one pair.
 
     Blocks are told apart by id, so a subtree sent one block by several
     parents evaluates it once; all blocks stay alive until the end, so no
@@ -613,95 +601,25 @@ def _evaluate(T, D, ctx, mode, want):
         if type(X) is not LazyNode:
             pair[3] = X._support_batch(S, ctx, w)
             continue
-        if X._lazy is None:
+        c = X._run
+        if c:
+            # The heap's top: no node above it has a pair or can get one.
+            top = -heap[0][0] if heap else 0
+            operands, Y = X.operands, X._end
+            L = X if X.matrix is not None else operands[X._lazy]
+            if (Y._height if type(Y) is LazyNode else 0) < top:
+                # H is one lower than L: no lower than the top iff L is higher.
+                c, Y = (1, L.operands[0]) if L is X or L._height > top else (0, None)
+        if c:
+            head, tail, powers = _powers(S, L.matrix, c)
+            sends = [(C, head) for i, C in enumerate(operands) if i != X._lazy]
+            sends.append((Y, tail))
+            shifts = [b for b in (X.vector, None if L is X else L.vector) if b is not None]
+            combine, X, cw = _run_combine, (c, head, powers, shifts), w
+        else:
             split, combine = rules[X.kind]
             blocks, cw = split(X, S, w)
             sends = zip(X.operands, blocks)
-        else:
-            # Block k is S mapped by the first k maps.  A run is a stretch of
-            # maps of one bitwise-equal matrix M: the walk makes its first
-            # block with one product and only counts the others; when the
-            # run ends, doubling makes the rest (_double).  Dimensions match
-            # along the walk, so a matrix with the run matrix's bytes has its
-            # shape too.
-            m, k, r, B, blocks = len(S), 0, 0, S, [S]
-            runs, shifts, concrete = [], [], {}
-            run_matrix = run_bytes = start = None
-            # The heap's top stays put during the walk, and no node above it
-            # has a pair or can get one: all its parents are past.
-            top = -heap[0][0] if heap else 0
-            while True:
-                # A move takes the c >= 2 equal steps that start at X when the
-                # node after them is no lower than the top, else X alone.
-                c, Y = X._run, X._end
-                if c < 2 or (Y._height if type(Y) is LazyNode else 0) < top:
-                    c, Y = 1, None
-                while True:
-                    # X and the c - 1 equal nodes after it: blocks k..k+c-1
-                    # for concrete operands and shifts, c maps of M.
-                    operands, lazy = X.operands, X._lazy
-                    if len(operands) > 1:
-                        for i, C in enumerate(operands):
-                            if i != lazy:
-                                entry = concrete.get(id(C))
-                                if entry is None:
-                                    concrete[id(C)] = [C, [(k, c)], c]
-                                else:
-                                    # Spans that meet merge: blocks with none
-                                    # twice and none skipped are one span.
-                                    spans, (s, n) = entry[1], entry[1][-1]
-                                    spans[-1:] = [(s, n + c)] if s + n == k else [(s, n), (k, c)]
-                                    entry[2] += c
-                    else:
-                        if X.vector is not None:
-                            shifts.append((X.vector, k, c))
-                        M = X.matrix
-                        if M is not None:
-                            if r and M is not run_matrix:
-                                # The run's bytes are read once, when a second map comes.
-                                if run_bytes is None:
-                                    run_bytes = run_matrix.tobytes()
-                                if M.tobytes() == run_bytes:
-                                    run_matrix = M
-                            if r and M is run_matrix:
-                                r += c
-                            else:
-                                if r > 1:
-                                    B = _double(run_matrix, k - r, r, start, blocks, m)
-                                runs.append((k, M))
-                                run_matrix, run_bytes, r, start = M, None, c, B
-                                B = B.dot(M)
-                                blocks.append(B)
-                            k += c
-                    if c == 1 or X.matrix is not None:
-                        break
-                    X = operands[lazy]
-                if Y is None:
-                    Y = operands[lazy]
-                if type(Y) is not LazyNode or Y._lazy is None:
-                    break
-                # Y's pair, if it has one, waits in the heap (pairs leave it by
-                # decreasing height, and Y is below the head), no higher than
-                # its top.
-                h = Y._height
-                if h < top or h == top and (id(Y), w) in pairs:
-                    break
-                X = Y
-            if r > 1:
-                B = _double(run_matrix, k - r, r, start, blocks, m)
-            tail, sends, shift = B, [], None
-            for b, i, c in shifts:
-                B = blocks[i]
-                if c > 1 or type(B) is tuple:
-                    B = _gather(blocks, m, [(i, c)])
-                row = B.dot(b) if c == 1 else B.dot(b).reshape(c, m).sum(axis=0)
-                shift = row if shift is None else shift + row
-            for C, spans, count in concrete.values():
-                B = blocks[spans[0][0]]
-                sends.append((C, B if count == 1 and type(B) is not tuple else _gather(blocks, m, spans)))
-            sends.append((Y, tail))
-            # The up step combines the segment, not its head node alone.
-            combine, X, cw = _segment_combine, (m, k, runs, blocks, shifts, concrete, shift), w
         links = []
         for op, B in sends:
             key = (id(op), cw)
@@ -718,86 +636,64 @@ def _evaluate(T, D, ctx, mode, want):
     return root[3]
 
 
-def _double(M, s, r, B, blocks, m):
-    """Make blocks s+2..s+r of a run of r >= 2 maps by M from block s = B,
-    whose first product the walk made, and return the top block.
+def _powers(S, M, c):
+    """The blocks S, S M, ..., S M^c of c maps by M, as the stack of the first
+    c, the last one, and the powers M, M^2, M^4, ... that made them.
 
-    The run doubles a stack that starts with its first two blocks, [B; B M]
-    -> [B; ...; B M^3] -> [B; ...; B M^7] -> ..., so it costs
-    ceil(log2(r+1)) products of 2-D stacks by M, M^2, M^4, ...; the way up
-    folds with the same powers.  Each block above s then names its first
-    block, the stack and the powers, ``(s, stack, powers)``."""
-    piece = np.empty(((r + 1) * m, len(M)))
-    piece[:m], piece[m : 2 * m] = B, blocks[s + 1]
-    powers, c = [M, M.dot(M)], 2
-    while True:
-        # Blocks c.. are blocks 0.. times M^c, as many as are still missing.
-        end = min(2 * c, r + 1)
-        np.dot(piece[: (end - c) * m], powers[-1], out=piece[c * m : end * m])
-        if end > r:
-            break
-        c = end
+    Repeated squaring doubles a stack that starts [S; S M]: [S; ...; S M^3],
+    [S; ...; S M^7], ..., so c maps cost ceil(log2(c+1)) products of 2-D
+    stacks; the way up folds with the same powers.  One map is one product."""
+    if c == 1:
+        return S, S.dot(M), [M]
+    m = len(S)
+    stack = np.empty(((c + 1) * m, len(M)))
+    stack[:m] = S
+    np.dot(S, M, out=stack[m : 2 * m])
+    powers, k = [M], 2
+    while k <= c:
+        # Blocks k.. are blocks 0.. times M^k, as many as are still missing.
         powers.append(powers[-1].dot(powers[-1]))
-    blocks[s + 1 :] = [(s, piece, powers)] * r
-    return piece[r * m :]
+        end = min(2 * k, c + 1)
+        np.dot(stack[: (end - k) * m], powers[-1], out=stack[k * m : end * m])
+        k = end
+    return stack[: c * m], stack[c * m :], powers
 
 
-def _gather(blocks, m, spans):
-    """The rows of the blocks in ``spans``, (first, count) pairs in order,
-    stacked: a slice of one stack when they are one span and that stack
-    holds them, else one concatenation."""
-    first, (s, c) = spans[0][0], spans[-1]
-    B = blocks[s + c - 1]
-    if len(spans) == 1 and type(B) is tuple and B[0] <= first:
-        return B[1][(first - B[0]) * m : (first + c - B[0]) * m]
-    rows = []
-    for s, c in spans:
-        for i in range(s, s + c):
-            B = blocks[i]
-            if type(B) is tuple:
-                B = B[1][(i - B[0]) * m : (i + 1 - B[0]) * m]
-            rows.append(B)
-    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+def _run_combine(run, S, results, want, ctx):
+    # The up step of a run pair: ``results`` holds the rows of each concrete
+    # operand, stacked over the c steps, then the tail's rows.
+    c, head, powers, shifts = run
+    m = len(S)
 
+    def fold(rows):
+        # The sum over the c steps of rows stacked step by step.
+        return rows if c == 1 else rows.reshape(c, m).sum(axis=0)
 
-def _segment_combine(segment, S, results, want, ctx):
-    # The up step of a segment: ``results`` holds the stacked rows of each
-    # concrete operand in ``concrete`` order, then its tail's rows.
-    m, k, runs, blocks, shifts, concrete, shift = segment
     values, V = results[-1]
-    if shift is not None:
-        values = values + shift
-    for (_, _, count), (more, _) in zip(concrete.values(), results):
-        values = values + (more if count == 1 else more.reshape(count, m).sum(axis=0))
+    if shifts:
+        values = values + sum(fold(head.dot(b)) for b in shifts)
+    for more, _ in results[:-1]:
+        values = values + fold(more)
     if not want:
         return values, None
     # sigma(d, M Y + b) = M sigma(M^T d, Y) + b, and a sum adds each concrete
-    # operand's vector at its block: the vector is sum_k U_k (M_1 ... M_k)^T,
-    # where U_k adds what block k's operands and shifts answered.
+    # operand's vector at its block: the vector is sum_i U_i (M^T)^i, where
+    # U_i adds what block i's operands and shifts answered and U_c is the
+    # tail's.  Folding in halves pairs the terms i and i + h,
+    # U_i += U_(i+h) (M^h)^T, for h = ..., 4, 2, 1: the powers of the way
+    # down, each in one product of a 2-D stack.
     n = V.shape[1]
-    U = np.zeros((k + 1, m, n))
-    U[k] = V
-    for (_, spans, count), (_, W) in zip(concrete.values(), results):
-        W = W.reshape(count, m, n)
-        if len(spans) == 1:
-            U[spans[0][0] : spans[0][0] + count] += W
-        else:
-            np.add.at(U, [i for s, c in spans for i in range(s, s + c)], W)
-    for b, i, c in shifts:
-        U[i : i + c] += b
-    # Bottom run first, each into its first block: a run of r maps by M from
-    # block s sums U_{s+i} (M^T)^i for i = 0..r, whose last term already
-    # holds the runs below.  Folding in halves pairs the terms i and i + h,
-    # U_{s+i} += U_{s+i+h} (M^h)^T, for h = ..., 4, 2, 1: the powers of the
-    # way down, each in one product of a 2-D stack.
-    top = k
-    for s, M in reversed(runs):
-        powers, length = (M,) if top == s + 1 else blocks[top][2], top + 1 - s
-        for t in range(len(powers) - 1, -1, -1):
-            h = 1 << t
-            U[s : s + length - h] += U[s + h : s + length].reshape(-1, n).dot(powers[t].T).reshape(length - h, m, n)
-            length = h
-        top = s
+    U = np.zeros((c + 1, m, n))
+    U[c] = V
+    for _, W in results[:-1]:
+        U[:c] += W.reshape(c, m, n)
+    for b in shifts:
+        U[:c] += b
+    length = c + 1
+    for t in range(len(powers) - 1, -1, -1):
+        h = 1 << t
+        U[: length - h] += U[h:length].reshape(-1, n).dot(powers[t].T).reshape(length - h, m, n)
+        length = h
     return values, U[0]
 
 

@@ -230,21 +230,32 @@ def test_shared_subtrees_reach_the_leaf_once(monkeypatch, shape):
     assert lazy_support_function(d, tree) == pytest.approx(expected, rel=1e-12)
 
 
-def _chain(steps, rng):
-    """``[X_0, ..., X_N]`` with ``X_k = Phi X_{k-1} + E``; every step shares its parent."""
+def _chain(steps, rng, other=None):
+    """``[X_0, ..., X_N]`` with ``X_k = Phi X_{k-1} + E``; every step shares its
+    parent.  With ``other``, every second step maps by it instead of Phi."""
     X = sc.Zonotope(rng.uniform(-1, 1, 2), rng.uniform(-0.3, 0.3, (2, 3)))
     E = sc.Hyperrectangle([0.01, 0.0], [0.002, 0.003])
     phi = _rotation(0.05, 0.99)
     out = [X]
-    for _ in range(steps):
-        X = make_node("MinkowskiSum", [make_node("LinearMap", [X], matrix=phi), E])
+    for k in range(steps):
+        M = other if other is not None and k % 2 else phi
+        X = make_node("MinkowskiSum", [make_node("LinearMap", [X], matrix=M), E])
         out.append(X)
     return out
 
 
-@pytest.mark.parametrize("shape", ["chain_200", "flowpipe_8"])
+def _reading(monkeypatch):
+    # Counts, per node, the reads of its operands.
+    reads = collections.Counter()
+    slot = sc.LazyNode.operands
+    monkeypatch.setattr(sc.LazyNode, "operands", property(lambda X: reads.update([id(X)]) or slot.__get__(X)))
+    return reads
+
+
+@pytest.mark.parametrize("shape", ["chain_200", "flowpipe_8", "alternating_200"])
 def test_one_leaf_call_per_leaf_and_want(monkeypatch, shape):
-    # Every block a leaf receives in one query is stacked into one call.
+    # Every block a leaf receives in one query is stacked into one call, also
+    # when no two equal steps follow one another.
     calls = []
     for cls in (sc.sets.AbstractHyperrectangle, sc.Zonotope):
         def counting(self, D, ctx, vectors, original=cls._support_batch):
@@ -252,8 +263,9 @@ def test_one_leaf_call_per_leaf_and_want(monkeypatch, shape):
             return original(self, D, ctx, vectors)
 
         monkeypatch.setattr(cls, "_support_batch", counting)
-    steps = _chain(200 if shape == "chain_200" else 8, np.random.default_rng(7))
-    tree = steps[-1] if shape == "chain_200" else make_node("Union", steps[1:])
+    other = _rotation(0.07, 0.98) if shape == "alternating_200" else None
+    steps = _chain(8 if shape == "flowpipe_8" else 200, np.random.default_rng(7), other)
+    tree = make_node("Union", steps[1:]) if shape == "flowpipe_8" else steps[-1]
     leaves = {id(steps[0]), id(steps[1].operands[1])}
     D = np.array(sc.generate_directions(polar_template(16)))
     queries = {
@@ -353,7 +365,7 @@ def test_deep_and_shared_trees_copy_pickle_and_compare():
 
 
 # ---------------------------------------------------------------------------
-# Segments: maps, translations and sums whose other operands are concrete,
+# Steps: maps, translations and sums whose other operands are concrete,
 # against a numpy recurrence that shares no code with the evaluator.
 
 
@@ -406,9 +418,9 @@ def _stable(rng, n):
 
 
 def _segment_case(rng, n, base, steps, shared):
-    """A random chain of ``steps`` segment nodes over a tail of kind ``base``,
-    and its support ``D -> (values, vectors)`` by the numpy recurrence
-    ``rho(d, M X + b + E) = rho(M^T d, X) + d . b + rho(d, E)``."""
+    """A random chain of ``steps`` maps, translations and sums over a tail of
+    kind ``base``, and its support ``D -> (values, vectors)`` by the numpy
+    recurrence ``rho(d, M X + b + E) = rho(M^T d, X) + d . b + rho(d, E)``."""
     X, tail = _np_base(rng, n, base)
     E = _np_leaf(rng, n, "box")
     E_set = _as_set(E)
@@ -486,9 +498,9 @@ def test_segments_match_numpy_recurrence(n, base):
 @pytest.mark.parametrize("shape", ["flowpipe", "translated_steps"])
 def test_shared_steps_end_segments(monkeypatch, shape):
     # Every step below the top is reached twice: from the union and from the
-    # next step, so segments end at each step.  One leaf call per (leaf, want)
-    # stays, and so do the leaf rows: T blocks of 16 rows reach the initial
-    # set and T(T+1)/2 reach E, as before segments.
+    # next step, so no pair skips one.  One leaf call per (leaf, want) stays,
+    # and so do the leaf rows: T blocks of 16 rows reach the initial set and
+    # T(T+1)/2 reach E, as in a walk node by node.
     calls = []
     for cls in (sc.sets.AbstractHyperrectangle, sc.Zonotope):
         def counting(self, D, ctx, vectors, original=cls._support_batch):
@@ -508,9 +520,7 @@ def test_shared_steps_end_segments(monkeypatch, shape):
     # Walking a node reads its operands: at most once to send blocks down and
     # twice to map vectors up.  A node walked more
     # than once per query would read them about once per step above it.
-    reads = collections.Counter()
-    slot = sc.LazyNode.operands
-    monkeypatch.setattr(sc.LazyNode, "operands", property(lambda X: reads.update([id(X)]) or slot.__get__(X)))
+    reads = _reading(monkeypatch)
     for want in (False, True):
         calls.clear()
         reads.clear()
@@ -614,13 +624,14 @@ def test_runs_broken_by_other_matrices(n):
 
 def test_equal_matrices_held_as_distinct_arrays_and_signed_zeros(monkeypatch):
     lengths = []
-    double = sc.lazyops._double
+    powers = sc.lazyops._powers
 
-    def counting(M, s, r, *rest):
-        lengths.append(r)
-        return double(M, s, r, *rest)
+    def counting(S, M, c):
+        if c >= 2:
+            lengths.append(c)
+        return powers(S, M, c)
 
-    monkeypatch.setattr(sc.lazyops, "_double", counting)
+    monkeypatch.setattr(sc.lazyops, "_powers", counting)
     rng = np.random.default_rng(11)
     E = _np_leaf(rng, 2, "box")
     M = np.array([[0.6, 0.0], [0.3, -0.7]])
@@ -665,7 +676,7 @@ def test_maps_that_change_the_dimension():
     E2, E6, E3 = _np_leaf(rng, 2, "box"), _np_leaf(rng, 6, "box"), _np_leaf(rng, 3, "box")
     down, up = rng.normal(size=(6, 2)), rng.normal(size=(3, 6))
     # 6-D steps over 2-D ones, a 3-D projection heading the tree, and a
-    # non-square affine map heading a segment under a sum.
+    # non-square affine map under a sum.
     steps = _reach_steps(A2, E2, 9) + [("map", down)] + _reach_steps(A6, E6, 5) + [("map", up)]
     _check_recipe(rng, 2, steps)
     _check_recipe(rng, 2, steps + [("sum", [E3], 0)])
@@ -675,7 +686,7 @@ def test_maps_that_change_the_dimension():
 # ---------------------------------------------------------------------------
 # Run summaries: every node that starts a step (a square map, or a sum or
 # translation over one) counts at construction the equal steps that start
-# there, and the walk takes them in one move.
+# there, and a query takes them as one pair.
 
 
 def _step_forms(rng, n):
@@ -761,8 +772,8 @@ def test_runs_break_at_any_difference():
 
 def test_query_rooted_inside_a_step():
     # The map of a sum + map step starts a lone-map step of its own, so a
-    # query on it moves one node and then jumps the run below, which extends
-    # the same run of maps.
+    # query on it is one pair of that step and then one pair of the run
+    # below, which extends the same run of maps.
     rng = np.random.default_rng(29)
     M, E = _stable(rng, 2), _np_leaf(rng, 2, "box")
     inner, support = _recipe_case(rng, 2, _reach_steps(M, E, 12) + [("map", M)])
@@ -788,9 +799,7 @@ def test_uniform_chain_is_walked_in_one_move(monkeypatch):
     steps = _chain(200, np.random.default_rng(7))
     tree = steps[-1]
     assert tree._run == 200 and tree._end is steps[0]
-    reads = collections.Counter()
-    slot = sc.LazyNode.operands
-    monkeypatch.setattr(sc.LazyNode, "operands", property(lambda X: reads.update([id(X)]) or slot.__get__(X)))
+    reads = _reading(monkeypatch)
     D = np.array(sc.generate_directions(polar_template(16)))
     queries = {
         "template": lambda: overapproximate_template(tree, polar_template(64)),
@@ -805,12 +814,12 @@ def test_uniform_chain_is_walked_in_one_move(monkeypatch):
 
 
 def test_moves_never_skip_a_shared_step(monkeypatch):
-    # Every step of a flowpipe also hangs from the union, so the walk takes
-    # them one by one: each segment holds one map, and no run is doubled.
-    # The same chain alone is one move, one doubled run of 30 maps.
+    # Every step of a flowpipe also hangs from the union, so no pair skips
+    # one: each pair takes one step, and no run is doubled.  The same chain
+    # alone is one pair, one doubled run of 30 maps.
     lengths = []
-    double = sc.lazyops._double
-    monkeypatch.setattr(sc.lazyops, "_double", lambda M, s, r, *rest: lengths.append(r) or double(M, s, r, *rest))
+    powers = sc.lazyops._powers
+    monkeypatch.setattr(sc.lazyops, "_powers", lambda S, M, c: c >= 2 and lengths.append(c) or powers(S, M, c))
     steps = _chain(30, np.random.default_rng(41))
     D = np.array(sc.generate_directions(polar_template(16)))
     for want in (False, True):
@@ -819,3 +828,34 @@ def test_moves_never_skip_a_shared_step(monkeypatch):
         steps[-1].support_batch(D, vectors=want)
         assert lengths == [30]
         lengths.clear()
+
+
+def test_alternating_chain_takes_one_pair_per_step(monkeypatch):
+    # No two equal steps follow one another, so every step is a run pair of
+    # one step, which reads its node's operands once and its map's at most
+    # once: the query reads every node, each a fixed number of times.
+    steps = _chain(200, np.random.default_rng(43), _rotation(0.07, 0.98))
+    tree = steps[-1]
+    assert tree._run == 1 and tree._end is steps[-2]
+    reads = _reading(monkeypatch)
+    D = np.array(sc.generate_directions(polar_template(16)))
+    for want in (False, True):
+        reads.clear()
+        tree.support_batch(D, vectors=want)
+        assert len(reads) >= 200 and max(reads.values()) <= 2
+
+
+def test_flowpipe_step_is_one_pair(monkeypatch):
+    # Each step of a flowpipe, shared with the union, is one run pair of one
+    # step: it reads the sum's operands once and the map's at most once.  By
+    # its kind's rule the sum would read them three times.
+    steps = _chain(30, np.random.default_rng(41))
+    maps = [X.operands[0] for X in steps[1:]]
+    tree = make_node("Union", steps[1:])
+    reads = _reading(monkeypatch)
+    D = np.array(sc.generate_directions(polar_template(16)))
+    for want in (False, True):
+        reads.clear()
+        tree.support_batch(D, vectors=want)
+        assert [reads[id(X)] for X in steps[1:]] == [1] * 30
+        assert max(reads[id(L)] for L in maps) <= 1

@@ -111,6 +111,32 @@ def test_doc_roundtrip_structural_equality():
         assert parse_doc(serialize_doc(X)) == X
 
 
+def test_parse_doc_keeps_equal_leaves_shared():
+    # A 200-step reach chain names its one E at every step.  The parse builds
+    # E once, as in the serialized tree, so the chain is one run of 200 steps.
+    rng = np.random.default_rng(5)
+    phi = np.array([[0.9, 0.2], [-0.2, 0.9]])
+    E = sc.Hyperrectangle(rng.uniform(-0.01, 0.01, 2), rng.uniform(0.01, 0.04, 2))
+    chain = sc.Zonotope(rng.uniform(-1, 1, 2), rng.uniform(-0.3, 0.3, (2, 3)))
+    for _ in range(200):
+        chain = sc.make_node("MinkowskiSum", [sc.make_node("LinearMap", [chain], matrix=phi), E])
+    text = serialize_doc(chain)
+    tree = parse_doc(text)
+    leaves, stack = set(), [tree]
+    while stack:
+        X = stack.pop()
+        if isinstance(X, sc.LazyNode):
+            stack.extend(X.operands)
+        else:
+            leaves.add(id(X))
+    assert len(leaves) == 2 and tree._run == 200
+    assert serialize_doc(tree) == text
+    D = np.array(sc.generate_directions(sc.polar_template(16)))
+    for want in (False, True):
+        for got, expected in zip(tree.support_batch(D, vectors=want), chain.support_batch(D, vectors=want)):
+            np.testing.assert_array_equal(got, expected)
+
+
 def test_doc_version_checked():
     assert parse_doc('{"version": "setcalc/1", "set": "Interval", "lo": 0, "hi": 1}')
     with pytest.raises(DocumentError):
