@@ -24,7 +24,12 @@ and on the way up its support vectors fold in halves with the same powers.
 A reach chain ``X_k = Phi X_{k-1} + E`` is the recurrence
 ``rho(d, X_N) = rho((Phi^T)^N d, X_0) + sum_{i<N} rho((Phi^T)^i d, E)``
 (Girard, Le Guernic and Maler, HSCC 2006): one pair, about log2 N products,
-one call for every block of E, and one reshape-sum.  An exact
+one call for every block of E, and one reshape-sum.  A union of the values
+after consecutive counts of one run's steps, such as the flowpipe
+``Union(X_1, ..., X_T)``, is a prefix union, recorded at construction: it
+is the same pair with T tail blocks, and a running sum over E's answers
+gives every ``rho(d, X_k)`` in one pass (Le Guernic and Girard, NAHS 2010,
+Algorithm 1), where a pair per step would send E T(T+1)/2 blocks.  An exact
 support value over a lazy binary intersection has no composition rule;
 exact queries concretize 2-D intersections and refuse otherwise, while the
 explicit overapproximate mode returns the upper bound
@@ -67,10 +72,12 @@ class LazyNode(ConvexSet):
     ``matrix``/``vector`` carry the payload of map and translation kinds.
     Nodes are immutable; build them with :func:`make_node`.  Besides its
     height, a node keeps a run summary, O(1) and set at construction: how
-    many equal steps start at it and the node after the last of them.
+    many equal steps start at it and the node after the last of them.  A
+    union also records whether it is a prefix union: the values after
+    consecutive counts of one run's steps.
     """
 
-    __slots__ = ("kind", "operands", "matrix", "vector", "_dim", "_height", "_lazy", "_run", "_end")
+    __slots__ = ("kind", "operands", "matrix", "vector", "_dim", "_height", "_lazy", "_run", "_end", "_prefix")
 
     def __init__(self, kind, operands, matrix=None, vector=None, _dim=None):
         operands = tuple(operands)
@@ -108,6 +115,7 @@ class LazyNode(ConvexSet):
                     run, end = H._run + 1, H._end
         init(self, "_run", run)
         init(self, "_end", end)
+        init(self, "_prefix", _KINDS[kind].union and _prefix_union(operands))
 
     def __setattr__(self, name, value):
         raise AttributeError("LazyNode is immutable")
@@ -221,6 +229,22 @@ def _same_step(X, Y) -> bool:
         if a is not None:
             return True
         X, Y = X.operands[lazy], operands[lazy]
+
+
+def _prefix_union(operands) -> bool:
+    # Whether the operands, in order, are the values after consecutive counts
+    # of one run's equal steps: each ends where the one before it ends, after
+    # one more step equal to its own.  The first may be the run's tail itself.
+    # Read from run summaries, so copies of the steps qualify too.
+    A = operands[0]
+    for i, B in enumerate(operands[1:]):
+        if type(B) is not LazyNode or not B._run:
+            return False
+        if not (i == 0 and A is B._end and B._run == 1 or type(A) is LazyNode and A._end is B._end
+                and B._run == A._run + 1 and _same_step(B, A)):
+            return False
+        A = B
+    return True
 
 
 def _unflatten(entries) -> LazyNode:
@@ -516,6 +540,7 @@ class _Kind(NamedTuple):
     member: Callable | None  # membership coroutine
     lazy_operand: bool = False  # the polygon rule reads the operand unconcretized
     step: bool = False  # may start a step when at most one operand is lazy and a matrix is square
+    union: bool = False  # the first max over its operands: may be a prefix union
 
 
 _KINDS = {
@@ -529,9 +554,10 @@ _KINDS = {
         _decided_by(False, lambda X, x: np.split(x, _offsets(X))),
     ),
     "ConvexHullUnion": _Kind(
-        2, (_same, _first_max), None, _on_polygons(lambda X, P, ctx: concrete_ops.convex_hull_union(*P, ctx)), None
+        2, (_same, _first_max), None, _on_polygons(lambda X, P, ctx: concrete_ops.convex_hull_union(*P, ctx)), None,
+        union=True,
     ),
-    "Union": _Kind(None, (_same, _first_max), None, None, _decided_by(True)),
+    "Union": _Kind(None, (_same, _first_max), None, None, _decided_by(True), union=True),
     "Intersection": _Kind(2, (_exact_intersection, _intersection_2d), None, _intersection_set, _decided_by(False)),
     "SymmetricIntervalHull": _Kind(1, (_axes, _interval_hull), None, _interval_hull_set, None, True),
     "Complement": _Kind(1, (_complement, None), None, None, _negation),
@@ -556,11 +582,15 @@ def _evaluate(T, D, ctx, mode, want):
     be reached another way.  That holds when the node after the skipped
     ones is no lower than the heap's top: the pair then takes all c steps,
     with tail ``_end``, or else X's own step, with tail H, the node after
-    it, if X is a lone map or H is that high.  A run pair of c steps by M
-    makes the blocks S, S M, ..., S M^c by repeated squaring
-    (:func:`_powers`); the steps' concrete operands get the first c as one
-    stack, and the tail gets the last.  Any other node, and a node whose
-    steps cannot be skipped, calls its kind's ``blocks`` rule on its stack.
+    it, if X is a lone map or H is that high.  A prefix union (``_prefix``)
+    of T operands, the values after first, ..., c steps of the run that
+    starts at its last operand, is one run pair of those c steps under the
+    same condition on ``_end``, and else calls its kind's rule.  A run pair
+    of c steps by M makes the blocks S, S M, ..., S M^c by repeated
+    squaring (:func:`_powers`); the steps' concrete operands get the first
+    c as one stack, and the tail gets the last, or for a prefix union the
+    last T.  Any other node, and a node whose steps cannot be skipped,
+    calls its kind's ``blocks`` rule on its stack.
 
     Leaves: each concrete set's pair, popped last, makes one
     ``_support_batch`` call on its stack.
@@ -568,8 +598,11 @@ def _evaluate(T, D, ctx, mode, want):
     Up: in reverse order, a run pair adds to its tail's rows one
     ``reshape``-sum per concrete operand and the shifts ``B . b`` of its
     translations and affine maps, and folds its support vectors in halves
-    with the powers of the way down (:func:`_run_combine`).  Any other node
-    calls its ``combine`` rule once.
+    with the powers of the way down (:func:`_run_combine`).  A prefix union
+    adds running sums instead, one per output, and takes the first max
+    over its T outputs, as its kind's rule would; each row's vector folds
+    the steps up to the output it took.  Any other node calls its
+    ``combine`` rule once.
 
     No node above the heap's top has a pair or can get one, since all its
     parents are past; so no node is walked twice in one query, the walk is
@@ -601,21 +634,26 @@ def _evaluate(T, D, ctx, mode, want):
         if type(X) is not LazyNode:
             pair[3] = X._support_batch(S, ctx, w)
             continue
-        c = X._run
+        # P starts the run: X, or the last operand of a prefix union, whose
+        # operands are the values after first, ..., c of its steps.
+        P = X.operands[-1] if X._prefix else X
+        c = P._run
         if c:
+            first = c + 1 - len(X.operands) if P is not X else c
             # The heap's top: no node above it has a pair or can get one.
             top = -heap[0][0] if heap else 0
-            operands, Y = X.operands, X._end
-            L = X if X.matrix is not None else operands[X._lazy]
+            operands, Y = P.operands, P._end
+            L = P if P.matrix is not None else operands[P._lazy]
             if (Y._height if type(Y) is LazyNode else 0) < top:
                 # H is one lower than L: no lower than the top iff L is higher.
-                c, Y = (1, L.operands[0]) if L is X or L._height > top else (0, None)
+                c, Y = (1, L.operands[0]) if P is X and (L is X or L._height > top) else (0, None)
+                first = c
         if c:
-            head, tail, powers = _powers(S, L.matrix, c)
-            sends = [(C, head) for i, C in enumerate(operands) if i != X._lazy]
-            sends.append((Y, tail))
-            shifts = [b for b in (X.vector, None if L is X else L.vector) if b is not None]
-            combine, X, cw = _run_combine, (c, head, powers, shifts), w
+            head, tails, powers = _powers(S, L.matrix, c, first)
+            sends = [(C, head) for i, C in enumerate(operands) if i != P._lazy]
+            sends.append((Y, tails))
+            shifts = [b for b in (P.vector, None if L is P else L.vector) if b is not None]
+            combine, X, cw = _run_combine, (c, first, head, powers, shifts), w
         else:
             split, combine = rules[X.kind]
             blocks, cw = split(X, S, w)
@@ -636,14 +674,16 @@ def _evaluate(T, D, ctx, mode, want):
     return root[3]
 
 
-def _powers(S, M, c):
+def _powers(S, M, c, first):
     """The blocks S, S M, ..., S M^c of c maps by M, as the stack of the first
-    c, the last one, and the powers M, M^2, M^4, ... that made them.
+    c, the stack of those from S M^first on, and the powers M, M^2, M^4, ...
+    that made them.
 
     Repeated squaring doubles a stack that starts [S; S M]: [S; ...; S M^3],
     [S; ...; S M^7], ..., so c maps cost ceil(log2(c+1)) products of 2-D
-    stacks; the way up folds with the same powers.  One map is one product."""
-    if c == 1:
+    stacks; the way up folds with the same powers.  One map whose last
+    block alone is wanted is one product."""
+    if c == first == 1:
         return S, S.dot(M), [M]
     m = len(S)
     stack = np.empty(((c + 1) * m, len(M)))
@@ -656,39 +696,59 @@ def _powers(S, M, c):
         end = min(2 * k, c + 1)
         np.dot(stack[: (end - k) * m], powers[-1], out=stack[k * m : end * m])
         k = end
-    return stack[: c * m], stack[c * m :], powers
+    return stack[: c * m], stack[first * m :], powers
 
 
 def _run_combine(run, S, results, want, ctx):
     # The up step of a run pair: ``results`` holds the rows of each concrete
-    # operand, stacked over the c steps, then the tail's rows.
-    c, head, powers, shifts = run
+    # operand, stacked over the c steps, then the tail's rows, stacked over
+    # the outputs after k = first, ..., c steps.  A plain run has one output,
+    # k = c; a prefix union has one per operand and takes the first max.
+    c, first, head, powers, shifts = run
     m = len(S)
 
     def fold(rows):
-        # The sum over the c steps of rows stacked step by step.
-        return rows if c == 1 else rows.reshape(c, m).sum(axis=0)
+        # Per output, the sum over its first k steps of rows stacked step by
+        # step: one sum for one output, else a running sum.
+        if first == c:
+            return rows if c == 1 else rows.reshape(c, m).sum(axis=0)
+        sums = np.zeros((c + 1, m))
+        np.add.accumulate(rows.reshape(c, m), out=sums[1:])
+        return sums[first:]
 
     values, V = results[-1]
+    if first < c:
+        values = values.reshape(c + 1 - first, m)
     if shifts:
         values = values + sum(fold(head.dot(b)) for b in shifts)
     for more, _ in results[:-1]:
         values = values + fold(more)
+    if first < c:
+        # The first max over the outputs, as the union's own rule takes it.
+        taken = values.argmax(axis=0) if want else None
+        values = np.maximum.reduce(values)
     if not want:
         return values, None
     # sigma(d, M Y + b) = M sigma(M^T d, Y) + b, and a sum adds each concrete
     # operand's vector at its block: the vector is sum_i U_i (M^T)^i, where
     # U_i adds what block i's operands and shifts answered and U_c is the
-    # tail's.  Folding in halves pairs the terms i and i + h,
-    # U_i += U_(i+h) (M^h)^T, for h = ..., 4, 2, 1: the powers of the way
-    # down, each in one product of a 2-D stack.
+    # tail's.  A prefix union's row that takes the output after k steps
+    # keeps U_i for i < k only, with the tail's vector as U_k.  Folding in
+    # halves pairs the terms i and i + h, U_i += U_(i+h) (M^h)^T, for
+    # h = ..., 4, 2, 1: the powers of the way down, each in one product of
+    # a 2-D stack.
     n = V.shape[1]
     U = np.zeros((c + 1, m, n))
-    U[c] = V
     for _, W in results[:-1]:
         U[:c] += W.reshape(c, m, n)
     for b in shifts:
         U[:c] += b
+    if first == c:
+        U[c] = V
+    else:
+        rows = np.arange(m)
+        U[np.arange(c + 1)[:, None] >= first + taken] = 0.0
+        U[first + taken, rows] = V.reshape(c + 1 - first, m, n)[taken, rows]
     length = c + 1
     for t in range(len(powers) - 1, -1, -1):
         h = 1 << t

@@ -498,9 +498,11 @@ def test_segments_match_numpy_recurrence(n, base):
 @pytest.mark.parametrize("shape", ["flowpipe", "translated_steps"])
 def test_shared_steps_end_segments(monkeypatch, shape):
     # Every step below the top is reached twice: from the union and from the
-    # next step, so no pair skips one.  One leaf call per (leaf, want) stays,
-    # and so do the leaf rows: T blocks of 16 rows reach the initial set and
-    # T(T+1)/2 reach E, as in a walk node by node.
+    # next step.  The flowpipe is a prefix union, one pair of the whole run:
+    # T blocks of 16 rows reach E and T the initial set.  The translated
+    # steps are not, so no pair skips one: T blocks reach the initial set
+    # and T(T+1)/2 reach E, as in a walk node by node.  One leaf call per
+    # (leaf, want) stays in both.
     calls = []
     for cls in (sc.sets.AbstractHyperrectangle, sc.Zonotope):
         def counting(self, D, ctx, vectors, original=cls._support_batch):
@@ -526,7 +528,10 @@ def test_shared_steps_end_segments(monkeypatch, shape):
         reads.clear()
         tree.support_batch(D, vectors=want)
         assert sorted(c[:2] for c in calls) == sorted((leaf, want) for leaf in leaves)
-        assert sum(c[2] for c in calls) == 7920 == 16 * (T + T * (T + 1) // 2)
+        if shape == "flowpipe":
+            assert sum(c[2] for c in calls) == 960 == 16 * 2 * T
+        else:
+            assert sum(c[2] for c in calls) == 7920 == 16 * (T + T * (T + 1) // 2)
         assert max(reads.values()) <= 4
 
 
@@ -626,10 +631,10 @@ def test_equal_matrices_held_as_distinct_arrays_and_signed_zeros(monkeypatch):
     lengths = []
     powers = sc.lazyops._powers
 
-    def counting(S, M, c):
+    def counting(S, M, c, first):
         if c >= 2:
             lengths.append(c)
-        return powers(S, M, c)
+        return powers(S, M, c, first)
 
     monkeypatch.setattr(sc.lazyops, "_powers", counting)
     rng = np.random.default_rng(11)
@@ -815,18 +820,23 @@ def test_uniform_chain_is_walked_in_one_move(monkeypatch):
 
 def test_moves_never_skip_a_shared_step(monkeypatch):
     # Every step of a flowpipe also hangs from the union, so no pair skips
-    # one: each pair takes one step, and no run is doubled.  The same chain
-    # alone is one pair, one doubled run of 30 maps.
+    # one unless it takes them all.  In descending order the steps are no
+    # prefix union: each pair takes one step, and no run is doubled.  In
+    # ascending order the union is one pair, one doubled run of 30 maps, as
+    # is the same chain alone.
     lengths = []
     powers = sc.lazyops._powers
-    monkeypatch.setattr(sc.lazyops, "_powers", lambda S, M, c: c >= 2 and lengths.append(c) or powers(S, M, c))
+    monkeypatch.setattr(sc.lazyops, "_powers",
+                        lambda S, M, c, first: c >= 2 and lengths.append(c) or powers(S, M, c, first))
     steps = _chain(30, np.random.default_rng(41))
     D = np.array(sc.generate_directions(polar_template(16)))
     for want in (False, True):
-        make_node("Union", steps[1:]).support_batch(D, vectors=want)
+        make_node("Union", steps[:0:-1]).support_batch(D, vectors=want)
         assert lengths == []
-        steps[-1].support_batch(D, vectors=want)
+        make_node("Union", steps[1:]).support_batch(D, vectors=want)
         assert lengths == [30]
+        steps[-1].support_batch(D, vectors=want)
+        assert lengths == [30, 30]
         lengths.clear()
 
 
@@ -846,12 +856,14 @@ def test_alternating_chain_takes_one_pair_per_step(monkeypatch):
 
 
 def test_flowpipe_step_is_one_pair(monkeypatch):
-    # Each step of a flowpipe, shared with the union, is one run pair of one
+    # Each step of a flowpipe that is no prefix union (here, the steps in
+    # descending order), shared with the union, is one run pair of one
     # step: it reads the sum's operands once and the map's at most once.  By
     # its kind's rule the sum would read them three times.
     steps = _chain(30, np.random.default_rng(41))
     maps = [X.operands[0] for X in steps[1:]]
-    tree = make_node("Union", steps[1:])
+    tree = make_node("Union", steps[:0:-1])
+    assert not tree._prefix
     reads = _reading(monkeypatch)
     D = np.array(sc.generate_directions(polar_template(16)))
     for want in (False, True):
