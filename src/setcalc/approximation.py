@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptySetError, UnboundedSetError, UnsupportedOperationError
+from .errors import DimensionMismatchError, EmptySetError, UnboundedSetError, UnsupportedOperationError
 from .numerics import LinearProgram, LpStatus, ToleranceContext, resolve_tolerance, solve_lp
 from .sets import (
     ConvexSet,
@@ -65,14 +65,16 @@ class DirectionTemplate:
         if self.kind == "custom":
             if not self.directions:
                 raise ValueError("custom templates need at least one direction")
-            for d in self.directions:
-                if np.max(np.abs(d)) == 0.0:
-                    raise ValueError("custom directions must be nonzero")
+            self.matrix  # builds and checks the rows at construction
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The rows of :func:`generate_directions`, built once per template; read-only."""
+        """The rows of :func:`generate_directions`, built and checked once per
+        template: ``dim`` finite entries each, not all zero; read-only."""
         D = _direction_rows(self)
+        zero = np.flatnonzero(~D.any(axis=1))
+        if len(zero):
+            raise ValueError(f"direction {zero[0]} is zero; template directions must be nonzero")
         D.flags.writeable = False
         return D
 
@@ -81,9 +83,17 @@ class DirectionTemplate:
         """Whether the directions positively span the space, that is, whether
         ``{x : d . x <= 1 for every direction d}`` is bounded.  The template
         polytope of a nonempty set with finite support values has the same
-        recession cone, so it is bounded exactly when this holds."""
+        recession cone, so it is bounded exactly when this holds.  Outside
+        2-D the rows D span positively exactly when they have rank n and no x
+        has ``D x <= 0`` with ``D x != 0`` (Farkas: some y > 0 has
+        ``D^T y = 0``).  One LP tells: ``-(sum of the rows) . x`` is bounded
+        over that cone, which holds the origin, so the LP needs no phase 1."""
         D = self.matrix
-        return _normals_bound_2d(D) if self.dim == 2 else HPolyhedron._from_arrays(D, np.ones(len(D))).is_bounded()
+        if self.dim == 2:
+            return _normals_bound_2d(D)
+        if np.linalg.matrix_rank(D) < self.dim:
+            return False
+        return solve_lp(LinearProgram(-D.sum(axis=0), zip(D, np.zeros(len(D))))).status is LpStatus.OPTIMAL
 
 
 def box_template(n: int) -> DirectionTemplate:
@@ -103,7 +113,7 @@ def spherical_template(k: int) -> DirectionTemplate:
 
 
 def custom_template(directions) -> DirectionTemplate:
-    dirs = tuple(_as_vector(d, name="direction") for d in directions)
+    dirs = tuple(_as_vector(d, name=f"direction {i}") for i, d in enumerate(directions))
     if not dirs:
         raise ValueError("custom templates need at least one direction")
     return DirectionTemplate("custom", dirs[0].size, len(dirs), dirs)
@@ -124,7 +134,7 @@ def _direction_rows(t: DirectionTemplate) -> np.ndarray:
         k = t.count
         grid = [(math.pi * i / (k - 1), 2.0 * math.pi * j / k) for i in range(k) for j in range(k)]
         return np.array([(math.sin(p) * math.cos(q), math.sin(p) * math.sin(q), math.cos(p)) for p, q in grid])
-    return np.array(t.directions, dtype=float)
+    return np.array([_as_vector(d, t.dim, f"direction {i}") for i, d in enumerate(t.directions)])
 
 
 def generate_directions(t: DirectionTemplate) -> list[np.ndarray]:
@@ -138,11 +148,18 @@ def overapproximate_template(X: ConvexSet, t: DirectionTemplate, ctx: ToleranceC
     Always contains X.  If the directions do not positively span the space
     (``t.bounded``, decided once per template) the result is unbounded; it
     is then returned as an HPolyhedron rather than mistyped as a polytope.
+    The template's rows are checked once per template (``t.matrix``), so a
+    query checks only the dimension; the result shares the template's
+    read-only matrix and holds a read-only copy of the support values.
     """
-    values, _ = X.support_batch(t.matrix, ctx)
-    if np.any(values == math.inf):
+    if t.dim != X.dim:
+        raise DimensionMismatchError(f"template has dimension {t.dim}, the set has dimension {X.dim}")
+    values, _ = X._support_batch(t.matrix, ctx, False)
+    if (values == math.inf).any():
         raise UnboundedSetError("support of the input set is unbounded along a template direction")
-    return (HPolytope if t.bounded else HPolyhedron)._from_arrays(t.matrix, values)
+    b = values.copy()
+    b.flags.writeable = False
+    return (HPolytope if t.bounded else HPolyhedron)._build(t.matrix, b)
 
 
 def box_approximation(X: ConvexSet, ctx: ToleranceContext | None = None) -> Hyperrectangle:
@@ -177,7 +194,7 @@ def overapproximate_eps_2d(X: ConvexSet, eps: float, ctx: ToleranceContext | Non
         # One row per angle: (angle, direction, support value, support vector).
         rows = np.empty((len(angles), 6))
         rows[:, 0], rows[:, 1], rows[:, 2] = angles, np.cos(angles), np.sin(angles)
-        values, vectors = X.support_batch(rows[:, 1:3], ctx, vectors=True)
+        values, vectors = X._support_batch(rows[:, 1:3], ctx, True)
         if not np.all(np.isfinite(values)):
             raise UnboundedSetError("cannot approximate an unbounded set")
         rows[:, 3], rows[:, 4:] = values, vectors
@@ -287,7 +304,7 @@ def underapproximate(X: ConvexSet, directions, ctx: ToleranceContext | None = No
         D = np.array([_as_vector(d, X.dim, "direction") for d in directions]).reshape(-1, X.dim)
     if not len(D):
         raise ValueError("need at least one direction")
-    _, points = X.support_batch(D, ctx, vectors=True)
+    _, points = X._support_batch(D, ctx, True)
     if X.dim == 2:
         return VPolygon(points)
     return VPolytope(points)

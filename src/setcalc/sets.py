@@ -92,7 +92,7 @@ def _axis_directions(n: int) -> np.ndarray:
 def _axis_extents(X, ctx, purpose: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis maximum and minimum of X, from one batched query on ``[I; -I]``."""
     n = X.dim
-    values, _ = X.support_batch(_axis_directions(n), ctx)
+    values, _ = X._support_batch(_axis_directions(n), ctx, False)
     if not np.all(np.isfinite(values)):
         raise UnboundedSetError(f"cannot {purpose} an unbounded set")
     return values[:n], -values[n:]
@@ -673,8 +673,14 @@ class HPolyhedron(ConcreteSet):
         if not A.any(axis=1).all():
             raise ValueError("half-space normal must be nonzero")
         A.flags.writeable = b.flags.writeable = False
+        return cls._build(A, b)
+
+    @classmethod
+    def _build(cls, A, b) -> "HPolyhedron":
+        """``{x : A x <= b}`` sharing read-only arrays that already pass the
+        checks of :meth:`_from_arrays`; checks nothing itself."""
         P = object.__new__(cls)
-        P.A, P.b, P._constraints = A, b, None
+        P.__dict__.update(A=A, b=b, _constraints=None)
         return P
 
     def __reduce__(self):
