@@ -67,6 +67,19 @@ class DirectionTemplate:
                 raise ValueError("custom templates need at least one direction")
             self.matrix  # builds and checks the rows at construction
 
+    def __eq__(self, other):
+        # Custom directions compare by value; the rows of a stock kind follow
+        # from (kind, dim, count).
+        if not isinstance(other, DirectionTemplate):
+            return NotImplemented
+        return (self.kind, self.dim, self.count) == (other.kind, other.dim, other.count) and (
+            self.kind != "custom" or np.array_equal(self.matrix, other.matrix)
+        )
+
+    def __hash__(self):
+        rows = tuple(self.matrix.ravel().tolist()) if self.kind == "custom" else ()
+        return hash((self.kind, self.dim, self.count, rows))
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """The rows of :func:`generate_directions`, built and checked once per

@@ -367,7 +367,8 @@ def translate(X: ConcreteSet, v, ctx: ToleranceContext | None = None) -> Concret
 
 def is_empty(X: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
     """Emptiness test.  H-representations whose 2-D normals bound them are
-    decided by their vertex enumeration, other ones by a feasibility LP."""
+    decided by the angle sweep of their constraints (empty: no vertex within
+    10 atol of every constraint), other ones by a feasibility LP."""
     if isinstance(X, (AbstractHyperrectangle, Zonotope, HalfSpace, Hyperplane)):
         return False
     if isinstance(X, VPolygon):

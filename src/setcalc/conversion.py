@@ -33,11 +33,13 @@ def tohrep(X: ConcreteSet, ctx: ToleranceContext | None = None) -> HPolytope:
 def tovrep(X: HPolytope, ctx: ToleranceContext | None = None) -> VPolygon:
     """Vertex representation of a bounded, nonempty 2-D H-polytope.
 
-    Vertices come from pairwise constraint intersections filtered by
-    feasibility, so redundant constraints are harmless.  When the normals
-    bound the region no LP is solved, and finding no vertex raises
-    ``EmptySetError``; otherwise one feasibility LP tells an empty region
-    from an unbounded one.  The vertices are hulled once.
+    The constraints are sorted once by normal angle and one sweep keeps
+    those that bound the region, so m constraints cost O(m log m) and
+    redundant ones are harmless; a region within 10 atol of empty keeps its
+    vertices.  When the normals bound the region no LP is solved, and
+    finding no vertex raises ``EmptySetError``; otherwise one feasibility LP
+    tells an empty region from an unbounded one.  The vertices are hulled
+    once.
     """
     if X.dim != 2:
         raise UnsupportedOperationError("tovrep is only implemented in dimension 2")

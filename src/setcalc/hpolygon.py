@@ -1,0 +1,296 @@
+"""Vertices and boundedness of 2-D H-polygons from one sort by normal angle.
+
+The rows of ``A x <= b`` are sorted once by the angle of their normals; the
+largest angular gap decides boundedness, and one pass over a deque keeps the
+lines that bound the region (the half-plane intersection of de Berg, Cheong,
+van Kreveld and Overmars, *Computational Geometry*, ch. 4 and 8), so m rows
+cost O(m log m).  The answer is that of intersecting every pair of rows and
+keeping the intersections that pass the membership test, bit for bit
+(``tests/hrep_reference.py``).  :mod:`setcalc.sets` imports this module on
+the first 2-D H-polygon query.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from . import sets
+from .numerics import ToleranceContext, within
+from .sets import _normal_angles, _normals_bound_2d, _pi_gaps
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _largest_gap(theta: list) -> tuple[int, float]:
+    """Index i and size of the largest cyclic gap ``theta[i + 1] - theta[i]``
+    of sorted angles."""
+    g, largest = len(theta) - 1, theta[0] + 2.0 * math.pi - theta[-1]
+    for i in range(len(theta) - 1):
+        if theta[i + 1] - theta[i] > largest:
+            g, largest = i, theta[i + 1] - theta[i]
+    return g, largest
+
+
+def _parallel(ax: list, ay: list, i: int, j: int) -> bool:
+    """Whether the normals of lines i and j are parallel up to the rounding
+    of their cross product."""
+    return abs(ax[i] * ay[j] - ay[i] * ax[j]) <= 4.0 * _EPS * (abs(ax[i] * ay[j]) + abs(ay[i] * ax[j]))
+
+
+def _outside_exactly(ax: list, ay: list, b: list, L: int, i: int, j: int) -> bool:
+    """Whether the exact intersection of lines i and j lies strictly outside
+    the half-plane of line L.  It runs only where floating point cannot
+    decide, so fractions is imported here, off the package's import path."""
+    from fractions import Fraction
+
+    ai, ci, bi = Fraction(ax[i]), Fraction(ay[i]), Fraction(b[i])
+    aj, cj, bj = Fraction(ax[j]), Fraction(ay[j]), Fraction(b[j])
+    det = ai * cj - ci * aj
+    num = Fraction(ax[L]) * (bi * cj - bj * ci) + Fraction(ay[L]) * (ai * bj - aj * bi) - Fraction(b[L]) * det
+    return num * det > 0
+
+
+def _sweep(th: list, ax: list, ay: list, b: list, nrm: list, closed: bool):
+    """Half-plane intersection of ``ax[i] x + ay[i] y <= b[i]`` over lines
+    sorted by normal angle ``th``, in one pass over a deque.
+
+    Returns the lines that bound the region, in order, and the vertices
+    between consecutive ones as coordinate lists ``vx, vy`` with a bound
+    ``ve`` on their rounding error, as a distance.  ``closed`` reads the
+    lines cyclically (a bounded region: None if it is empty); otherwise they
+    form an open chain (None if it has no vertex).  Lines whose normals are
+    parallel up to rounding count as parallel, and only the tighter of two
+    with equal directions is kept.  A vertex is tested against a line in
+    floating point unless the rounding could flip the answer; then the test
+    is exact, so the kept lines always bound a convex region.
+    """
+    eps4 = 4.0 * _EPS
+    dq, vx, vy, ve = [], [], [], []  # live deque dq[h:]; vertex t joins dq[t], dq[t + 1]
+    h = 0
+
+    def outside(L, t):
+        r = ax[L] * vx[t] + ay[L] * vy[t] - b[L]
+        bound = nrm[L] * ve[t] + eps4 * abs(b[L])
+        if abs(r) > bound:
+            return r > 0.0
+        return _outside_exactly(ax, ay, b, L, dq[t], dq[t + 1])
+
+    def push_vertex(i, j):
+        ai, ci, bi, ni = ax[i], ay[i], b[i], nrm[i]
+        aj, cj, bj, nj = ax[j], ay[j], b[j], nrm[j]
+        det = ai * cj - ci * aj
+        x, y = (bi * cj - bj * ci) / det, (ai * bj - aj * bi) / det
+        s = abs(x) + abs(y)
+        vx.append(x)
+        vy.append(y)
+        ve.append(eps4 * ((abs(bi) * nj + abs(bj) * ni + 2.0 * s * ni * nj) / abs(det) + 2.0 * s))
+
+    def pop():
+        dq.pop()
+        vx.pop()
+        vy.pop()
+        ve.pop()
+
+    for L in range(len(b)):
+        if len(dq) > h:
+            B = dq[-1]
+            if th[L] - th[B] < 1e-9 and ax[B] * ax[L] + ay[B] * ay[L] > 0.0 and _parallel(ax, ay, B, L):
+                # Equal directions: keep the tighter line.
+                if b[L] * nrm[B] >= b[B] * nrm[L]:
+                    continue
+                if len(dq) - h == 1:
+                    dq[-1] = L
+                    continue
+                pop()
+        # outside(L, t), inlined: this loop runs for every line.
+        aL, cL, bL, nL = ax[L], ay[L], b[L], nrm[L]
+        eL = eps4 * abs(bL)
+        while len(dq) - h > 1:
+            r = aL * vx[-1] + cL * vy[-1] - bL
+            if r < -(nL * ve[-1] + eL) or r <= nL * ve[-1] + eL and not _outside_exactly(ax, ay, b, L, dq[-2], dq[-1]):
+                break
+            pop()
+        while len(dq) - h > 1:
+            r = aL * vx[h] + cL * vy[h] - bL
+            if r < -(nL * ve[h] + eL) or r <= nL * ve[h] + eL and not _outside_exactly(ax, ay, b, L, dq[h], dq[h + 1]):
+                break
+            h += 1
+        if len(dq) > h:
+            if _parallel(ax, ay, dq[-1], L):
+                return None  # opposite normals met (equal ones merged above): an empty strip, or no vertex
+            push_vertex(dq[-1], L)
+        dq.append(L)
+    if closed:
+        while len(dq) - h > 2 and outside(dq[h], len(dq) - 2):
+            pop()
+        while len(dq) - h > 2 and outside(dq[-1], h):
+            h += 1
+        if len(dq) - h < 3 or _parallel(ax, ay, dq[-1], dq[h]):
+            return None
+        push_vertex(dq[-1], dq[h])
+    if len(dq) - h < 2:
+        return None
+    return dq[h:], vx[h:], vy[h:], ve[h:]
+
+
+def hpolygon_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> tuple[bool, np.ndarray | None]:
+    """Boundedness and vertices of the 2-D region ``{x : A x <= b}`` from one
+    sort of the rows by normal angle.
+
+    ``bounded`` is the gap rule of :func:`_normals_bound_2d`.  The vertices
+    are the hull of every pairwise constraint intersection that passes the
+    membership test against every constraint: 10 atol as a distance, plus
+    16 eps |a| |p| for the rounding of ``a . p``.  None if no intersection
+    passes.  For an unbounded region they are those of the open chain that
+    starts after the gap of pi.
+
+    The sweep (:func:`_sweep`) finds the lines that bound the region relaxed
+    by ``w`` (twice that slack), so a region within 10 atol of empty keeps
+    its vertices.  Each vertex of the relaxed region gets the group of lines
+    that pass within ``R`` of it.  Where the group is just the two lines that
+    meet there, their intersection is the only candidate, and only those two
+    rows can reject it.  A larger group (concurrent, duplicated or
+    near-touching rows) has every pairwise intersection as a candidate.  So
+    the candidates are exactly the passing pairwise intersections that the
+    hull can keep, and the result is the pairwise enumeration's, bit for
+    bit, in O(m log m) for m rows in general position.
+    """
+    m = len(b)
+    if not m:
+        return False, None
+    theta = _normal_angles(A)
+    norms = np.hypot(A[:, 0], A[:, 1])
+    order = np.argsort(theta, kind="stable")
+    th, ax, ay, bl, nl = np.column_stack((theta, A, b, norms))[order].T.tolist()
+    if not math.isfinite(sum(bl)) and not np.isfinite(b).all():
+        # A row with offset +inf holds everywhere; one with -inf or nan nowhere.
+        bounded, finite = _normals_bound_2d(A), b < math.inf
+        if np.isnan(b).any() or (b == -math.inf).any():
+            return bounded, None
+        return bounded, hpolygon_2d(A[finite], b[finite], ctx)[1]
+    g, largest = _largest_gap(th)
+    # The gap rule agrees with this unless the largest gap is within rounding of pi.
+    if abs(largest - math.pi) > 1e-9:
+        bounded = largest < math.pi
+    else:
+        bounded = not _pi_gaps(A[order], theta[order]).any()
+    rows = order.tolist()
+    # Start after the largest gap: an open chain begins there, and a closed
+    # pass never meets two lines of nearly equal angle across its ends.
+    g += 1
+    th, ax, ay, bl, nl, rows = (v[g:] + v[:g] for v in (th, ax, ay, bl, nl, rows))
+    atol10 = 10.0 * ctx.atol
+    reach = max(abs(c) / n for c, n in zip(bl, nl))
+    w = 2.0 * (atol10 + 16.0 * _EPS * reach)
+    for _ in range(2):
+        swept = _sweep(th, ax, ay, [c + w * n for c, n in zip(bl, nl)], nl, bounded)
+        if swept is None:
+            return bounded, None
+        K, vx, vy, ve = swept
+        # The slack at a point p of the relaxed region, 10 atol + 16 eps |p|,
+        # should not exceed w; far from the origin, relax once more.
+        far = max(map(abs, vx)) + max(map(abs, vy))
+        if atol10 + 16.0 * _EPS * far <= w:
+            break
+        w = 2.0 * (atol10 + 32.0 * _EPS * far)
+    k = len(vx)
+    # Every line through a point of the relaxed region passes within 3 w of
+    # the nearer end of the edge nearest that point; R adds the rounding.
+    R = 4.0 * w + 2.0 * max(ve) + 16.0 * _EPS * (far + reach)
+
+    def walk(s, t, step):
+        # Adds line s to the groups of the vertices past t while it passes within R.
+        for _ in range(k - 1):
+            t += step
+            if bounded:
+                t %= k
+            elif not 0 <= t < k:
+                return
+            if ax[s] * vx[t] + ay[s] * vy[t] - bl[s] < -R * nl[s]:
+                return
+            groups[t].append(s)
+
+    # Vertex t joins lines K[t] and K[t + 1].  A line is farthest out at the
+    # vertex between the kept lines around its angle (its home); far from
+    # that vertex, it is far from the whole region, and near lines are near
+    # a run of vertices around it.
+    groups = [[K[t], K[(t + 1) % len(K)]] for t in range(k)]
+    for t, s in enumerate(K):
+        limit = bl[s] - R * nl[s]
+        if (bounded or t + 1 < k) and ax[s] * vx[(t + 1) % k] + ay[s] * vy[(t + 1) % k] >= limit:
+            walk(s, t, 1)
+        if (bounded or t >= 2) and ax[s] * vx[t - 2] + ay[s] * vy[t - 2] >= limit:
+            walk(s, t - 1, -1)
+    t, kept = -1, set(K)
+    for s in range(m):
+        if s in kept:
+            t += 1
+            continue
+        home = min(t, k - 1) if t >= 0 else (k - 1 if bounded else 0)
+        if ax[s] * vx[home] + ay[s] * vy[home] - bl[s] >= -R * nl[s]:
+            groups[home].append(s)
+            walk(s, home, 1)
+            walk(s, home, -1)
+    points, tests = [], {}
+    eps16 = 16.0 * _EPS
+    for t, group in enumerate(groups):
+        if len(group) > 2:
+            group = sorted({rows[s] for s in group})
+            for i, j in itertools.combinations(group, 2):
+                tests.setdefault((i, j), (t, group))
+            continue
+        i, j = group if rows[group[0]] < rows[group[1]] else group[::-1]
+        ai, ci, bi, aj, cj, bj = ax[i], ay[i], bl[i], ax[j], ay[j], bl[j]
+        det = ai * cj - ci * aj
+        if abs(det) <= 1e-14 * max(1.0, max(abs(ai), abs(ci)) * max(abs(aj), abs(cj))):
+            continue
+        x, y = (bi * cj - bj * ci) / det, (ai * bj - aj * bi) / det
+        # The membership test of its two rows, decided here where the rounding
+        # of the slack cannot matter.
+        slack = atol10 + eps16 * math.hypot(x, y)
+        ri, rj = x * ai + y * ci - bi, x * aj + y * cj - bj
+        ti, tj = slack * nl[i], slack * nl[j]
+        passes = ri < 0.5 * ti and rj < 0.5 * tj
+        if abs(x - vx[t]) + abs(y - vy[t]) >= 0.75 * R or not (passes or ri > 2.0 * ti or rj > 2.0 * tj):
+            tests[rows[i], rows[j]] = (t, [rows[i], rows[j]])
+        elif passes:
+            points.append((x, y))
+    P = np.array(points).reshape(-1, 2)
+    if tests:
+        P = np.concatenate((P, _tested_points(A, b, tests, np.column_stack((vx, vy)), 0.75 * R, ctx)))
+    return bounded, (sets._convex_hull_2d(P) if len(P) else None)
+
+
+def _tested_points(A, b, tests, V, reach, ctx) -> np.ndarray:
+    """The intersections of the row pairs ``(i, j)`` of ``tests`` (i < j) that
+    pass the membership test.  ``tests[i, j] = (t, rows)``: within ``reach``
+    of vertex ``V[t]`` only those rows can reject the point; farther away,
+    every row is tested."""
+    (i, j), (t, rows) = np.array(list(tests)).T, zip(*tests.values())
+    ax, ay = A[:, 0], A[:, 1]
+    det = ax[i] * ay[j] - ay[i] * ax[j]
+    scale = np.abs(A).max(axis=1)
+    keep = np.abs(det) > 1e-14 * np.maximum(1.0, scale[i] * scale[j])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        P = np.column_stack(((b[i] * ay[j] - b[j] * ay[i]) / det, (ax[i] * b[j] - ax[j] * b[i]) / det))
+    P, t, rows = P[keep], np.array(t)[keep], [r for r, k in zip(rows, keep) if k]
+    ok = _pass_all(P, A, b, rows, ctx)
+    far = np.flatnonzero(ok & (np.abs(P - V[t]).sum(axis=1) >= reach))
+    ok[far] = _pass_all(P[far], A, b, [range(len(b))] * len(far), ctx)
+    return P[ok]
+
+
+def _pass_all(P, A, b, rows, ctx) -> np.ndarray:
+    """Whether each point ``P[k]`` passes the membership test of every row in
+    ``rows[k]``: 10 atol as a distance, plus 16 eps |a| |p|, the rounding of
+    ``a . p`` at a far point p (with less, thin regions lose true vertices)."""
+    n = np.array([len(r) for r in rows], dtype=int)
+    r = np.fromiter(itertools.chain.from_iterable(rows), dtype=int, count=int(n.sum()))
+    k = np.repeat(np.arange(len(P)), n)
+    rounding = 16.0 * np.finfo(float).eps * np.hypot(P[k, 0], P[k, 1])
+    ok = within(P[k, 0] * A[r, 0] + P[k, 1] * A[r, 1], b[r] + rounding * np.hypot(A[r, 0], A[r, 1]),
+                A[r], ToleranceContext(10.0 * ctx.atol))
+    return np.bincount(k[~ok], minlength=len(P)) == 0

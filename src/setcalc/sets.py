@@ -711,11 +711,16 @@ class HPolyhedron(ConcreteSet):
         return list(zip(self.A, self.b))
 
     def _support_batch(self, D, ctx, vectors):
-        """In 2-D, when the normals bound the region, one vertex enumeration
-        answers every direction without an LP (no vertex: ``EmptySetError``).
-        Otherwise one LP per direction yields the value and the maximizer."""
-        if self.dim == 2 and _normals_bound_2d(self.A):
-            return _vertex_support(self._vertices_2d(ctx), D, vectors)
+        """In 2-D, when the normals bound the region, its vertices, from one
+        angle sweep of the constraints (:func:`_hpolygon_2d`), answer every
+        direction without an LP (no vertex: ``EmptySetError``).  Otherwise one
+        LP per direction yields the value and the maximizer."""
+        if self.dim == 2:
+            bounded, vertices = _hpolygon_2d(self.A, self.b, resolve_tolerance(ctx))
+            if bounded:
+                if vertices is None:
+                    raise EmptySetError("the polyhedron is empty")
+                return _vertex_support(vertices, D, vectors)
         constraints = self._lp_constraints()
         values, points = np.empty(len(D)), np.empty(D.shape)
         for i, d in enumerate(D):
@@ -734,18 +739,25 @@ class HPolyhedron(ConcreteSet):
         x = _as_vector(x, self.dim, "point")
         return bool(np.all(within(self.A.dot(x), self.b, self.A, ctx)))
 
-    def _is_empty(self, ctx) -> bool:
-        """Emptiness: in 2-D, where the normals bound the region, by the vertex
-        enumeration (points within 10 atol count); otherwise by a feasibility LP."""
-        if self.dim == 2 and _normals_bound_2d(self.A):
-            return _hrep_vertices_2d(self.A, self.b, resolve_tolerance(ctx)) is None
+    def _infeasible(self, ctx) -> bool:
         return bool(len(self.b)) and not is_feasible(self._lp_constraints(), ctx)
+
+    def _is_empty(self, ctx) -> bool:
+        """Emptiness: in 2-D, where the normals bound the region, by the same
+        angle sweep as its vertices (a point within 10 atol of every
+        constraint counts); otherwise by a feasibility LP."""
+        if self.dim == 2:
+            bounded, vertices = _hpolygon_2d(self.A, self.b, resolve_tolerance(ctx))
+            if bounded:
+                return vertices is None
+        return self._infeasible(ctx)
 
     def is_bounded(self, ctx=None) -> bool:
         if self.dim == 2:
-            if self._is_empty(ctx):
+            bounded, vertices = _hpolygon_2d(self.A, self.b, resolve_tolerance(ctx))
+            if vertices is None if bounded else self._infeasible(ctx):
                 raise EmptySetError("is_bounded of an empty polyhedron")
-            return _normals_bound_2d(self.A)
+            return bounded
         for e in np.eye(self.dim):
             if self.support_function(e, ctx) == math.inf or self.support_function(-e, ctx) == math.inf:
                 return False
@@ -759,13 +771,6 @@ class HPolyhedron(ConcreteSet):
             raise EmptySetError("an_element of an empty polyhedron")
         return point
 
-    def _vertices_2d(self, ctx) -> np.ndarray:
-        # For 2-D regions whose normals bound them.
-        verts = _hrep_vertices_2d(self.A, self.b, resolve_tolerance(ctx))
-        if verts is None:
-            raise EmptySetError("the polyhedron is empty")
-        return verts
-
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
         """Vertices of a bounded region of dimension <= 2.  In 2-D, normals
         that bound the region give them without an LP (no vertex:
@@ -776,8 +781,15 @@ class HPolyhedron(ConcreteSet):
             raise UnsupportedOperationError(
                 "vertex enumeration of H-representations is only implemented for dimension <= 2"
             )
-        if self.dim == 2 and _normals_bound_2d(self.A):
-            return [row for row in self._vertices_2d(ctx)]
+        if self.dim == 2:
+            bounded, vertices = _hpolygon_2d(self.A, self.b, ctx)
+            if bounded:
+                if vertices is None:
+                    raise EmptySetError("the polyhedron is empty")
+                return [row for row in vertices]
+            if self._infeasible(ctx):
+                raise EmptySetError("vertex enumeration of an empty polyhedron")
+            raise UnboundedSetError("vertex enumeration of an unbounded polyhedron")
         if not self.is_bounded(ctx):
             raise UnboundedSetError("vertex enumeration of an unbounded polyhedron")
         (hi,), (lo,) = _axis_extents(self, ctx, "enumerate")
@@ -806,52 +818,50 @@ def _row_products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.matmul(A[:, None, :], B)[:, 0]
 
 
-def _normals_bound_2d(U: np.ndarray) -> bool:
-    """Whether nonempty regions cut out by half-planes with the 2-D normals
-    in the rows of U are bounded: no cyclic gap between the unit normals,
-    sorted by angle, reaches pi.  A gap over 90 degrees is read from its sine
-    (the cross product), up to the rounding of the normalization, so
-    antiparallel normals make a gap of pi."""
-    if not len(U):
-        return False
-    theta = np.arctan2(U[:, 1], U[:, 0])
-    order = np.argsort(theta)
-    theta, U = theta[order], U[order]
+def _normal_angles(U: np.ndarray) -> np.ndarray:
+    # + 0.0 turns a -0.0 component into +0.0, so no normal reads -pi.
+    return np.arctan2(U[:, 1] + 0.0, U[:, 0])
+
+
+def _pi_gaps(U: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """For rows U sorted by their angles theta: whether the cyclic gap from
+    each unit normal to the next reaches pi.  A gap over 90 degrees is read
+    from its sine (the cross product), up to the rounding of the
+    normalization, so antiparallel normals make a gap of pi."""
     U = U / np.sqrt((U * U).sum(axis=1))[:, None]
     V = np.concatenate((U[1:], U[:1]))
     gap = np.append(theta[1:], theta[0] + 2.0 * math.pi) - theta
     sine = U[:, 0] * V[:, 1] - U[:, 1] * V[:, 0]
-    return not np.any(np.where((U * V).sum(axis=1) < 0.0, sine <= 1e-14, gap > math.pi))
+    return np.where((U * V).sum(axis=1) < 0.0, sine <= 1e-14, gap > math.pi)
+
+
+def _normals_bound_2d(U: np.ndarray) -> bool:
+    """Whether nonempty regions cut out by half-planes with the 2-D normals
+    in the rows of U are bounded: no cyclic gap between the normals, sorted
+    by angle, reaches pi (:func:`_pi_gaps`)."""
+    if not len(U):
+        return False
+    theta = _normal_angles(U)
+    order = np.argsort(theta, kind="stable")
+    return not _pi_gaps(U[order], theta[order]).any()
+
+
+_hpolygon_kernel = None
+
+
+def _hpolygon_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> tuple[bool, np.ndarray | None]:
+    """Boundedness and vertices of the 2-D region ``{x : A x <= b}``: see
+    :func:`setcalc.hpolygon.hpolygon_2d`.  That module is imported on first
+    use, so only processes that query 2-D H-polygons compile it."""
+    global _hpolygon_kernel
+    if _hpolygon_kernel is None:
+        from .hpolygon import hpolygon_2d as _hpolygon_kernel
+    return _hpolygon_kernel(A, b, ctx)
 
 
 def _hrep_vertices_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> np.ndarray | None:
-    """Vertices of the bounded 2-D region ``{x : A x <= b}``.
-
-    Intersects every constraint pair, keeps the feasible points, and hulls
-    them, so redundant constraints do not change the outcome.  Returns None
-    for an empty region.
-    """
-    rows = np.arange(len(b))
-    i, j = np.nonzero(rows[:, None] < rows)  # every pair, as np.triu_indices(m, 1) orders them
-    ax, ay, scale = A[:, 0], A[:, 1], np.abs(A).max(axis=1)
-    det = ax[i] * ay[j] - ay[i] * ax[j]
-    keep = np.abs(det) > 1e-14 * np.maximum(1.0, scale[i] * scale[j])
-    i, j, det = i[keep], j[keep], det[keep]
-    P = np.stack(((b[i] * ay[j] - b[j] * ay[i]) / det, (ax[i] * b[j] - ax[j] * b[i]) / det), axis=1)
-    # The (pairs x m) feasibility test runs in blocks of at most 8
-    # constraints spread through the list, each on the points that passed
-    # the blocks before: the same verdicts, with most entries never computed.
-    # The slack is 10 atol plus 16 eps |a| |p|, the rounding of a . p at a
-    # far vertex p: with less, thin regions lose true vertices.
-    loose = ToleranceContext(10.0 * ctx.atol)
-    rounding = 16.0 * np.finfo(float).eps * np.hypot(P[:, :1], P[:, 1:])
-    norms = np.hypot(A[:, 0], A[:, 1])
-    k = -(-len(b) // 8)
-    for s in range(k):
-        offsets = b[s::k] + rounding * norms[s::k]
-        keep = np.all(within(P[:, :1] * A[s::k, 0] + P[:, 1:] * A[s::k, 1], offsets, A[s::k], loose), axis=1)
-        P, rounding = P[keep], rounding[keep]
-    return _convex_hull_2d(P) if len(P) else None
+    """The vertices of :func:`_hpolygon_2d`."""
+    return _hpolygon_2d(A, b, ctx)[1]
 
 
 class VPolygon(ConcreteSet):

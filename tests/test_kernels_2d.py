@@ -1,7 +1,9 @@
 """The 2-D kernels against independent oracles: qhull for zonotope vertices,
-the pairwise loop for H-to-V, HiGHS for boundedness, and LP counts."""
+the pairwise loop for H-to-V (bit for bit), qhull and HiGHS for H-polygon
+vertices and emptiness at any scale, HiGHS for boundedness, and LP counts."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import setcalc.numerics
 import setcalc.sets
 from hrep_reference import reference_hrep_vertices_2d
 from setcalc.errors import EmptySetError, UnboundedSetError
-from setcalc.numerics import resolve_tolerance
+from setcalc.numerics import ToleranceContext, resolve_tolerance
 
 
 def _sector_maximizers(c, G):
@@ -80,6 +82,152 @@ def test_hrep_vertices_match_pairwise_reference():
             assert got is None
         else:
             assert np.array_equal(got, expected)
+
+
+def _rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+def _reference_suite(rng, ctx):
+    """H-representations as rows (A, b), bounded and unbounded, each family
+    aimed at one way the angle sweep can go wrong."""
+    band = 10.0 * ctx.atol
+    for case in range(2000):
+        family = case % 4
+        if family == 0:
+            # Random normals, sometimes rounded (parallel and repeated normals)
+            # and offsets rounded to tenths (lines through shared vertices).
+            constraints = _random_hrep(rng, int(rng.integers(1, 17)))
+            A, b = np.array([c.normal for c in constraints]), np.array([c.offset for c in constraints])
+            if case % 40 == 0:
+                # An offset of +inf holds everywhere, -inf and nan nowhere.
+                b[rng.integers(len(b))] = rng.choice([math.inf, math.inf, -math.inf, math.nan])
+        elif family == 1:
+            # Duplicated rows, scaled copies included.
+            constraints = _random_hrep(rng, int(rng.integers(2, 12)))
+            A, b = np.array([c.normal for c in constraints]), np.array([c.offset for c in constraints])
+            copies = rng.integers(len(b), size=int(rng.integers(1, 5)))
+            scale = rng.choice([0.5, 1.0, 2.0, 3.0], size=len(copies))
+            A, b = np.vstack((A, A[copies] * scale[:, None])), np.concatenate((b, b[copies] * scale))
+        elif family == 2:
+            # An antiparallel strip (possibly empty), capped on one side, both or none.
+            width = rng.choice([-0.5, -band, 0.0, band, 0.5, 1.0])
+            A, b = np.array([[0.0, 1.0], [0.0, -1.0]]), np.array([width, 0.0])
+            for side in rng.choice([-1.0, 1.0], size=int(rng.integers(0, 4))):
+                angle = rng.uniform(-0.45, 0.45) * math.pi
+                A = np.vstack((A, [side * math.cos(angle), math.sin(angle)]))
+                b = np.append(b, rng.uniform(0.0, 1.0))
+        else:
+            # A thin box, its height just inside or just outside 10 atol of empty.
+            height = band * rng.choice([-2.0, -1.1, -0.9, -0.5, 0.0, 0.5, 1.1])
+            A = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0]])
+            b = np.array([height, 0.0, 1.0, 0.0])
+            extra = rng.normal(size=(int(rng.integers(0, 6)), 2))
+            # Extra rows touch the box, or miss it by a tolerance-sized gap or a wide one.
+            b = np.concatenate((b, np.maximum(extra[:, 0], 0.0) + rng.choice([0.0, 0.3 * band, 2.0 * band, 0.5], len(extra))))
+            A = np.vstack((A, extra))
+        if family >= 2:
+            A = A @ _rotation(rng.uniform(0.0, 2.0 * math.pi)).T
+            if rng.random() < 0.5:
+                A, b = np.round(A, 1), np.round(b, 1)
+            A[np.all(A == 0.0, axis=1)] = [1.0, 0.0]
+        order = rng.permutation(len(b))
+        yield A[order], b[order]
+
+
+def test_hpolygon_kernel_is_bit_identical_to_the_pairwise_reference():
+    ctx = resolve_tolerance(None)
+    rng = np.random.default_rng(2026)
+    seen = set()
+    for A, b in _reference_suite(rng, ctx):
+        constraints = [sc.HalfSpace(a, float(o)) for a, o in zip(A, b)]
+        H = sc.HPolyhedron(constraints)
+        with np.errstate(invalid="ignore"):  # the reference meets the non-finite offsets
+            expected = reference_hrep_vertices_2d(constraints, ctx)
+        bounded, got = setcalc.sets._hpolygon_2d(H.A, H.b, ctx)
+        assert bounded == setcalc.sets._normals_bound_2d(H.A)
+        if expected is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, expected)
+        if bounded:
+            # The emptiness verdict is the reference's: no passing intersection.
+            assert sc.is_empty(H) is (expected is None)
+        seen.add((bounded, expected is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _unit_hpolygon(rng, rows):
+    """Edge rows of a random convex k-gon (3 <= k <= 6, vertices well apart)
+    plus redundant rows, ``rows`` in all, each row scaled at random; and the
+    k-gon's vertices."""
+    k = min(rows, int(rng.integers(3, 7)))
+    angles = 2.0 * math.pi * (np.arange(k) + rng.uniform(0.15, 0.85, k)) / k
+    V = np.column_stack((np.cos(angles), np.sin(angles))) * rng.uniform(0.7, 1.0, 2)
+    E = np.roll(V, -1, axis=0) - V
+    A = np.column_stack((E[:, 1], -E[:, 0]))
+    D = rng.normal(size=(rows - k, 2))
+    A = np.vstack((A, D)) * rng.uniform(0.1, 10.0, (rows, 1))
+    b = np.max(V @ A.T, axis=0)
+    b[k:] += np.linalg.norm(A[k:], axis=1) * rng.uniform(0.05, 0.5, rows - k)
+    order = rng.permutation(rows)
+    return A[order], b[order], V
+
+
+def test_hpolygon_vertices_and_emptiness_match_qhull_and_highs_at_any_scale(lp_calls):
+    # The same unit-scale polygon, rotated and scaled by 1e-6 to 1e6, with
+    # the tolerance scaled alike: the vertices and the emptiness verdict
+    # must not depend on the scale.  qhull and HiGHS see the unit polygon.
+    spatial = pytest.importorskip("scipy.spatial")
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(606)
+    for trial in range(80):
+        A, b, V = _unit_hpolygon(rng, int(rng.integers(3, 129)))
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        turn, shift = _rotation(rng.uniform(0.0, 2.0 * math.pi)), rng.uniform(-3.0, 3.0, 2)
+        ctx = ToleranceContext(1e-8 * scale)
+
+        def scaled(A, b):
+            # x' = scale * turn x + scale * shift maps {A x <= b} to {A' x' <= b'}.
+            A2 = A @ turn.T
+            return sc.HPolytope._from_arrays(A2, scale * (b + A2 @ shift))
+
+        hull = spatial.HalfspaceIntersection(np.column_stack((A, -b)), V.mean(axis=0))
+        points = hull.intersections
+        expected = scale * (points[spatial.ConvexHull(points).vertices] @ turn.T + shift)
+        got = sc.tovrep(scaled(A, b), ctx).vertices
+        assert len(got) == len(expected), trial
+        for vertex in expected:
+            assert np.min(np.max(np.abs(got - vertex), axis=1)) <= 1e-9 * scale * (1.0 + np.abs(shift).max())
+        # A cut that leaves a slab of the polygon, or misses it by a margin.
+        d = rng.normal(size=2)
+        low, high = np.min(V @ d), np.max(V @ d)
+        cut = low + (high - low) * rng.choice([-0.2, -0.05, 0.05, 0.3])
+        A_cut, b_cut = np.vstack((A, -d)), np.append(b, -cut)
+        feasible = optimize.linprog(np.zeros(2), A_ub=A_cut, b_ub=b_cut, bounds=[(None, None)] * 2, method="highs")
+        assert feasible.status in (0, 2)
+        assert sc.is_empty(scaled(A_cut, b_cut), ctx) is (feasible.status == 2), trial
+    assert len(lp_calls) == 0
+
+
+def test_tovrep_2048_redundant_constraints_is_fast_and_solves_no_lp(lp_calls):
+    # A 16-gon under 2032 redundant rows: the sweep is O(m log m) where the
+    # pairwise enumeration tested O(m^2) candidates (0.6 to 1 s at 2048 rows).
+    rng = np.random.default_rng(2048)
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, 16))
+    V = np.column_stack((np.cos(angles), np.sin(angles)))
+    E = np.roll(V, -1, axis=0) - V
+    D = rng.normal(size=(2032, 2))
+    A = np.vstack((np.column_stack((E[:, 1], -E[:, 0])), D))
+    b = np.concatenate((np.einsum("ij,ij->i", A[:16], V), np.max(V @ D.T, axis=0) + rng.uniform(0.01, 0.5, 2032)))
+    H = sc.HPolytope._from_arrays(A, b)
+    sc.tovrep(H)  # warm
+    start = time.perf_counter()
+    P = sc.tovrep(H)
+    elapsed = time.perf_counter() - start
+    assert P.num_vertices == 16 and np.allclose(np.sort(P.vertices, axis=0), np.sort(V, axis=0))
+    assert elapsed < 0.2, elapsed
+    assert len(lp_calls) == 0
 
 
 def _highs_bounded(A, b):

@@ -199,3 +199,21 @@ def test_nd_boundedness_takes_one_lp_or_none(lp_calls):
     flat = rng.normal(size=(10, 5)) @ np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
     assert not custom_template(list(flat)).bounded and len(lp_calls) == 2  # rank 4: no LP
     assert box_template(5).bounded and spherical_template(4).bounded and len(lp_calls) == 4
+
+
+def test_templates_compare_and_hash_by_their_rows():
+    a = custom_template([[1, 0], [0, 1], [-1, -1]])
+    b = custom_template([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    assert a == b and hash(a) == hash(b)
+    assert a != custom_template([[1, 0], [0, 1], [-1, -2]])
+    assert a != custom_template([[1, 0], [0, 1]])
+    assert a != custom_template([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
+    # -0.0 and 0.0 are equal entries, so their templates hash alike.
+    assert custom_template([[-0.0, 1.0], [1, 0], [-1, -1]]) == custom_template([[0.0, 1.0], [1, 0], [-1, -1]])
+    assert hash(custom_template([[-0.0, 1.0], [1, 0], [-1, -1]])) == hash(custom_template([[0, 1], [1, 0], [-1, -1]]))
+    cache = {a: "first", box_template(2): "box", polar_template(8): "polar"}
+    assert cache[b] == "first"
+    assert cache[box_template(2)] == "box" and cache[polar_template(8)] == "polar"
+    assert box_template(2) == DirectionTemplate("box", 2) and box_template(2) != box_template(3)
+    assert polar_template(8) != polar_template(9) and polar_template(8) != a
+    assert a != "custom"
