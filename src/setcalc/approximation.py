@@ -30,7 +30,7 @@ from .sets import (
     Zonotope,
     _as_vector,
     _axis_extents,
-    _normals_bound_2d,
+    _normals_bound,
     _zonotope_normals,
 )
 
@@ -94,19 +94,11 @@ class DirectionTemplate:
     @cached_property
     def bounded(self) -> bool:
         """Whether the directions positively span the space, that is, whether
-        ``{x : d . x <= 1 for every direction d}`` is bounded.  The template
-        polytope of a nonempty set with finite support values has the same
-        recession cone, so it is bounded exactly when this holds.  Outside
-        2-D the rows D span positively exactly when they have rank n and no x
-        has ``D x <= 0`` with ``D x != 0`` (Farkas: some y > 0 has
-        ``D^T y = 0``).  One LP tells: ``-(sum of the rows) . x`` is bounded
-        over that cone, which holds the origin, so the LP needs no phase 1."""
-        D = self.matrix
-        if self.dim == 2:
-            return _normals_bound_2d(D)
-        if np.linalg.matrix_rank(D) < self.dim:
-            return False
-        return solve_lp(LinearProgram(-D.sum(axis=0), zip(D, np.zeros(len(D))))).status is LpStatus.OPTIMAL
+        ``{x : d . x <= 1 for every direction d}`` is bounded
+        (:func:`~setcalc.sets._normals_bound`).  The template polytope of a
+        nonempty set with finite support values has the same recession cone,
+        so it is bounded exactly when this holds."""
+        return _normals_bound(self.matrix)
 
 
 def box_template(n: int) -> DirectionTemplate:
@@ -291,7 +283,7 @@ def overapproximate_zonotope(X: ConvexSet, directions, ctx: ToleranceContext | N
     # Rows -|L d_j| alpha <= -need and -alpha <= 0; maximize -sum(alpha).
     m = D.shape[0]
     rows = np.vstack((-np.abs(L.dot(D.T)), -np.eye(m)))
-    outcome = solve_lp(LinearProgram(-np.ones(m), zip(rows, np.concatenate((-need, np.zeros(m))))), ctx)
+    outcome = solve_lp(LinearProgram(-np.ones(m), rows, np.concatenate((-need, np.zeros(m)))), ctx)
     if outcome.status is not LpStatus.OPTIMAL:
         raise UnsupportedOperationError("the candidate directions cannot cover the set")
     alphas = outcome.optimizer

@@ -258,9 +258,9 @@ def _unflatten(entries) -> LazyNode:
 def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:
     """Validated construction of a lazy node; no computation happens.
 
-    Dimensions must be consistent with the kind: cartesian products
-    concatenate, maps require matching matrix columns, everything else needs
-    equal operand dimensions.
+    Payloads and dimensions follow the kind's row in ``_KINDS``: cartesian
+    products concatenate, maps require matching matrix columns, everything
+    else needs equal operand dimensions.
     """
     if kind not in KINDS:
         raise UnsupportedOperationError(f"unknown lazy operation kind {kind!r}")
@@ -272,23 +272,20 @@ def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:
         if type(op) is not LazyNode and not isinstance(op, ConvexSet):
             raise TypeError(f"operand {op!r} is not a set")
 
-    arity = _KINDS[kind].arity
-    if arity is None and len(operands) < 2:
+    row = _KINDS[kind]
+    if row.arity is None and len(operands) < 2:
         raise ValueError(f"{kind} takes at least two operands")
-    if arity is not None and len(operands) != arity:
-        raise ValueError(f"{kind} takes exactly {'one operand' if arity == 1 else 'two operands'}")
+    if row.arity is not None and len(operands) != row.arity:
+        raise ValueError(f"{kind} takes exactly {'one operand' if row.arity == 1 else 'two operands'}")
 
     # A payload on a kind that takes none would be ignored by some queries
     # and applied by others.
-    if matrix is not None and kind not in ("LinearMap", "AffineMap"):
+    if matrix is not None and not row.matrix:
         raise ValueError(f"{kind} takes no matrix payload")
-    if vector is not None and kind not in ("AffineMap", "Translation"):
+    if vector is not None and not row.vector:
         raise ValueError(f"{kind} takes no vector payload")
-
     dims = [op.dim for op in operands]
-    if kind == "CartesianProduct":
-        node_dim = sum(dims)
-    elif kind == "LinearMap" or kind == "AffineMap":
+    if row.matrix:
         if matrix is None:
             raise ValueError(f"{kind} needs a matrix payload")
         # A copy: freezing the caller's own array would make it read-only.
@@ -301,26 +298,22 @@ def make_node(kind: str, operands, matrix=None, vector=None) -> LazyNode:
                 f"{kind} matrix has {matrix.shape[1]} columns, operand "
                 f"{type(operands[0]).__name__} has dimension {dims[0]}"
             )
-        node_dim = matrix.shape[0]
-        if kind == "AffineMap":
-            if vector is None:
-                raise ValueError("AffineMap needs a vector payload")
-            vector = _as_vector(vector, node_dim, "shift")
-    elif kind == "Translation":
+    node_dim = row.dim(kind, operands, dims, matrix)
+    if row.vector:
         if vector is None:
-            raise ValueError("Translation needs a vector payload")
-        vector = _as_vector(vector, dims[0], "shift")
-        node_dim = dims[0]
-    else:
-        first = dims[0]
-        for op, d in zip(operands, dims):
-            if d != first:
-                raise DimensionMismatchError(
-                    f"{kind} operands {type(operands[0]).__name__} (dim {first}) and "
-                    f"{type(op).__name__} (dim {d}) have different dimensions"
-                )
-        node_dim = first
+            raise ValueError(f"{kind} needs a vector payload")
+        vector = _as_vector(vector, node_dim, "shift")
     return LazyNode(kind, operands, matrix, vector, _dim=node_dim)
+
+
+def _common_dim(kind, operands, dims, matrix):
+    for op, d in zip(operands, dims):
+        if d != dims[0]:
+            raise DimensionMismatchError(
+                f"{kind} operands {type(operands[0]).__name__} (dim {dims[0]}) and "
+                f"{type(op).__name__} (dim {d}) have different dimensions"
+            )
+    return dims[0]
 
 
 def _offsets(X):
@@ -541,17 +534,24 @@ class _Kind(NamedTuple):
     lazy_operand: bool = False  # the polygon rule reads the operand unconcretized
     step: bool = False  # may start a step when at most one operand is lazy and a matrix is square
     union: bool = False  # the first max over its operands: may be a prefix union
+    matrix: bool = False  # takes (and needs) a matrix payload, whose columns match the operand
+    vector: bool = False  # takes (and needs) a vector payload, a shift in the node's dimension
+    dim: Callable = _common_dim  # (kind, operands, dims, matrix) -> the node's dimension; checks the dims
 
 
+_MAP = _Kind(1, (_mapped, _map_back), _mapped_set, _polygon_of(_mapped_set), _preimage, step=True, matrix=True,
+             dim=lambda kind, ops, dims, matrix: len(matrix))
 _KINDS = {
-    "LinearMap": _Kind(1, (_mapped, _map_back), _mapped_set, _polygon_of(_mapped_set), _preimage, step=True),
-    "AffineMap": _Kind(1, (_mapped, _map_back), _mapped_set, _polygon_of(_mapped_set), _preimage, step=True),
-    "Translation": _Kind(1, (_same, _map_back), _mapped_set, _on_polygons(_mapped_set), _preimage, step=True),
+    "LinearMap": _MAP,
+    "AffineMap": _MAP._replace(vector=True),
+    "Translation": _Kind(
+        1, (_same, _map_back), _mapped_set, _on_polygons(_mapped_set), _preimage, step=True, vector=True
+    ),
     "MinkowskiSum": _Kind(2, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, step=True),
     "MinkowskiSumArray": _Kind(None, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, step=True),
     "CartesianProduct": _Kind(
         2, (_sliced, _product), _product_set, _polygon_of(_product_set),
-        _decided_by(False, lambda X, x: np.split(x, _offsets(X))),
+        _decided_by(False, lambda X, x: np.split(x, _offsets(X))), dim=lambda kind, ops, dims, matrix: sum(dims),
     ),
     "ConvexHullUnion": _Kind(
         2, (_same, _first_max), None, _on_polygons(lambda X, P, ctx: concrete_ops.convex_hull_union(*P, ctx)), None,

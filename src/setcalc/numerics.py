@@ -6,7 +6,8 @@ Every approximate comparison in the library reads ``atol``, a distance, from a
 callers either pass a context explicitly or rely on the default.
 The solver handles ``max c.x  s.t.  A x <= b`` with free variables, which is
 the only LP shape the geometry needs (emptiness checks, polyhedral support
-values, zonotope membership, zonotope fitting).
+values, boundedness, zonotope membership, zonotope fitting).  Constraints
+come in as that pair of arrays: an (m, n) matrix A and an m-vector b.
 """
 
 from __future__ import annotations
@@ -99,29 +100,21 @@ class LpOutcome:
 
 
 class LinearProgram:
-    """``max objective . x`` subject to ``normal_i . x <= offset_i``, x free.
+    """``max objective . x`` subject to ``A x <= b``, x free.
 
-    Constraints are given as ``(normal, offset)`` pairs over a common
-    dimension n and stored stacked as an (m, n) matrix and an m-vector.
+    ``normals`` holds A as an (m, n) array, also when m = 0, and ``offsets``
+    holds b as an m-vector; n is the dimension of the objective, and n = 0
+    is the one-point space R^0.
     """
 
-    def __init__(self, objective, constraints):
+    def __init__(self, objective, A, b):
         self.objective = np.asarray(objective, dtype=float).reshape(-1)
         n = self.objective.size
-        if n < 1:
-            raise ValueError("objective must have dimension >= 1")
-        normals = []
-        offsets = []
-        for normal, offset in constraints:
-            a = np.asarray(normal, dtype=float).reshape(-1)
-            if a.size != n:
-                raise DimensionMismatchError(
-                    f"constraint normal has dimension {a.size}, objective has {n}"
-                )
-            normals.append(a)
-            offsets.append(float(offset))
-        self.normals = np.array(normals, dtype=float) if normals else np.zeros((0, n))
-        self.offsets = np.asarray(offsets, dtype=float)
+        self.normals, self.offsets = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+        if self.normals.ndim != 2 or self.normals.shape[1] != n or self.offsets.shape != self.normals.shape[:1]:
+            raise DimensionMismatchError(
+                f"constraints of shapes {self.normals.shape} and {self.offsets.shape} do not fit dimension {n}"
+            )
 
     @property
     def dim(self) -> int:
@@ -167,9 +160,9 @@ def solve_lp(lp: LinearProgram, ctx: ToleranceContext | None = None) -> LpOutcom
     """Solve the LP with a dense two-phase simplex.
 
     Free variables are split into positive/negative parts; rows with a
-    negative right-hand side get an artificial variable for phase 1.  An
-    empty constraint list makes the program unbounded unless the objective
-    is the zero vector, in which case the origin is reported optimal.
+    negative right-hand side get an artificial variable for phase 1.  With
+    no rows the program is unbounded unless the objective is the zero
+    vector, in which case the origin is reported optimal.
     """
     ctx = resolve_tolerance(ctx)
     n = lp.dim
@@ -233,22 +226,17 @@ def solve_lp(lp: LinearProgram, ctx: ToleranceContext | None = None) -> LpOutcom
     return LpOutcome(LpStatus.OPTIMAL, x, float(c @ x))
 
 
-def feasible_point(constraints, ctx: ToleranceContext | None = None) -> np.ndarray | None:
-    """Return a point satisfying all ``(normal, offset)`` constraints, or None.
+def feasible_point(A, b, ctx: ToleranceContext | None = None) -> np.ndarray | None:
+    """Return a point x with ``A x <= b`` (phase 1), or None if there is none.
 
-    Constraints must share a common dimension; an empty list is feasible at
-    the origin of the (then unknowable) ambient space and is rejected.
+    A is an (m, n) array and b an m-vector; with m = 0 the origin of R^n.
     """
-    constraints = list(constraints)
-    if not constraints:
-        raise ValueError("feasible_point needs at least one constraint")
-    lp = LinearProgram(np.zeros(np.asarray(constraints[0][0]).size), constraints)
-    outcome = solve_lp(lp, ctx)
+    outcome = solve_lp(LinearProgram(np.zeros(np.shape(A)[-1]), A, b), ctx)
     if outcome.status is LpStatus.OPTIMAL:
         return outcome.optimizer
     return None
 
 
-def is_feasible(constraints, ctx: ToleranceContext | None = None) -> bool:
-    """Phase-1 feasibility of a list of ``(normal, offset)`` constraints."""
-    return feasible_point(constraints, ctx) is not None
+def is_feasible(A, b, ctx: ToleranceContext | None = None) -> bool:
+    """Phase-1 feasibility of ``A x <= b`` for an (m, n) array A and an m-vector b."""
+    return feasible_point(A, b, ctx) is not None

@@ -585,7 +585,7 @@ class Zonotope(ConcreteSet):
         ctx = resolve_tolerance(ctx)
         eye, G = np.eye(m), self.generators
         offsets = np.concatenate((np.ones(2 * m), rhs + ctx.atol, ctx.atol - rhs))
-        return is_feasible(zip(np.vstack((eye, -eye, G, -G)), offsets), ctx)
+        return is_feasible(np.vstack((eye, -eye, G, -G)), offsets, ctx)
 
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
         if self.dim == 1:
@@ -707,9 +707,6 @@ class HPolyhedron(ConcreteSet):
     def _hrep(self, ctx):
         return self.A, self.b
 
-    def _lp_constraints(self) -> list[tuple[np.ndarray, float]]:
-        return list(zip(self.A, self.b))
-
     def _support_batch(self, D, ctx, vectors):
         """In 2-D, when the normals bound the region, its vertices, from one
         angle sweep of the constraints (:func:`_hpolygon_2d`), answer every
@@ -721,10 +718,9 @@ class HPolyhedron(ConcreteSet):
                 if vertices is None:
                     raise EmptySetError("the polyhedron is empty")
                 return _vertex_support(vertices, D, vectors)
-        constraints = self._lp_constraints()
         values, points = np.empty(len(D)), np.empty(D.shape)
         for i, d in enumerate(D):
-            outcome = solve_lp(LinearProgram(d, constraints), ctx)
+            outcome = solve_lp(LinearProgram(d, self.A, self.b), ctx)
             if outcome.status is LpStatus.INFEASIBLE:
                 raise EmptySetError("support query on an empty polyhedron")
             if outcome.status is LpStatus.UNBOUNDED:
@@ -739,9 +735,6 @@ class HPolyhedron(ConcreteSet):
         x = _as_vector(x, self.dim, "point")
         return bool(np.all(within(self.A.dot(x), self.b, self.A, ctx)))
 
-    def _infeasible(self, ctx) -> bool:
-        return bool(len(self.b)) and not is_feasible(self._lp_constraints(), ctx)
-
     def _is_empty(self, ctx) -> bool:
         """Emptiness: in 2-D, where the normals bound the region, by the same
         angle sweep as its vertices (a point within 10 atol of every
@@ -750,23 +743,16 @@ class HPolyhedron(ConcreteSet):
             bounded, vertices = _hpolygon_2d(self.A, self.b, resolve_tolerance(ctx))
             if bounded:
                 return vertices is None
-        return self._infeasible(ctx)
+        return not is_feasible(self.A, self.b, ctx)
 
     def is_bounded(self, ctx=None) -> bool:
-        if self.dim == 2:
-            bounded, vertices = _hpolygon_2d(self.A, self.b, resolve_tolerance(ctx))
-            if vertices is None if bounded else self._infeasible(ctx):
-                raise EmptySetError("is_bounded of an empty polyhedron")
-            return bounded
-        for e in np.eye(self.dim):
-            if self.support_function(e, ctx) == math.inf or self.support_function(-e, ctx) == math.inf:
-                return False
-        return True
+        """Whether the normals bound the region (:func:`_normals_bound`); it must be nonempty."""
+        if self._is_empty(ctx):
+            raise EmptySetError("is_bounded of an empty polyhedron")
+        return _normals_bound(self.A)
 
     def an_element(self, ctx=None) -> np.ndarray:
-        if not len(self.b):
-            return np.zeros(self.dim)
-        point = feasible_point(self._lp_constraints(), ctx)
+        point = feasible_point(self.A, self.b, ctx)
         if point is None:
             raise EmptySetError("an_element of an empty polyhedron")
         return point
@@ -787,7 +773,7 @@ class HPolyhedron(ConcreteSet):
                 if vertices is None:
                     raise EmptySetError("the polyhedron is empty")
                 return [row for row in vertices]
-            if self._infeasible(ctx):
+            if not is_feasible(self.A, self.b, ctx):
                 raise EmptySetError("vertex enumeration of an empty polyhedron")
             raise UnboundedSetError("vertex enumeration of an unbounded polyhedron")
         if not self.is_bounded(ctx):
@@ -833,6 +819,20 @@ def _pi_gaps(U: np.ndarray, theta: np.ndarray) -> np.ndarray:
     gap = np.append(theta[1:], theta[0] + 2.0 * math.pi) - theta
     sine = U[:, 0] * V[:, 1] - U[:, 1] * V[:, 0]
     return np.where((U * V).sum(axis=1) < 0.0, sine <= 1e-14, gap > math.pi)
+
+
+def _normals_bound(U: np.ndarray) -> bool:
+    """Whether the rows of U positively span the space, so that nonempty
+    regions ``{x : U x <= b}`` are bounded.  In 2-D by the angular gaps
+    (:func:`_normals_bound_2d`); otherwise exactly when U has rank n and no x
+    has ``U x <= 0`` with ``U x != 0`` (Farkas: some y > 0 has ``U^T y = 0``).
+    One LP tells: ``-(sum of the rows) . x`` is bounded over that cone, which
+    holds the origin, so the LP needs no phase 1."""
+    if U.shape[1] == 2:
+        return _normals_bound_2d(U)
+    if np.linalg.matrix_rank(U) < U.shape[1]:
+        return False
+    return solve_lp(LinearProgram(-U.sum(axis=0), U, np.zeros(len(U)))).status is LpStatus.OPTIMAL
 
 
 def _normals_bound_2d(U: np.ndarray) -> bool:
@@ -1016,7 +1016,7 @@ class VPolytope(ConcreteSet):
         k, V = self.vertices.shape[0], self.vertices.T
         normals = np.vstack((-np.eye(k), np.ones(k), -np.ones(k), V, -V))
         offsets = np.concatenate((np.zeros(k), [1.0 + ctx.atol, ctx.atol - 1.0], x + ctx.atol, ctx.atol - x))
-        return is_feasible(zip(normals, offsets), ctx)
+        return is_feasible(normals, offsets, ctx)
 
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
         if self.dim == 2:

@@ -317,10 +317,11 @@ def test_tovrep_matches_stepwise_reference_on_random_hreps():
     seen = set()
     for _ in range(400):
         constraints = _random_hrep(rng, int(rng.integers(1, 40)))
-        if setcalc.sets._normals_bound_2d(sc.HPolyhedron(constraints).A):
+        H = sc.HPolyhedron(constraints)
+        if setcalc.sets._normals_bound_2d(H.A):
             vertices = reference_hrep_vertices_2d(constraints, ctx)
             expected = EmptySetError if vertices is None else sc.VPolygon(vertices)
-        elif not setcalc.numerics.is_feasible([(c.normal, c.offset) for c in constraints], ctx):
+        elif not setcalc.numerics.is_feasible(H.A, H.b, ctx):
             expected = EmptySetError
         else:
             expected = UnboundedSetError

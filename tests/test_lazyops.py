@@ -62,6 +62,34 @@ def test_make_node_rejects_stray_payloads():
         make_node("Translation", [E], matrix=np.eye(2), vector=[5.0, 5.0])
 
 
+@pytest.mark.parametrize("kind", sorted(sc.lazyops.KINDS))
+def test_make_node_payloads_and_dimensions_for_every_kind(kind):
+    # Which payloads each kind takes (and needs), and its dimension: the
+    # sum for a product, the matrix's rows for a map, else the common one.
+    payloads = {"LinearMap": {"matrix"}, "AffineMap": {"matrix", "vector"}, "Translation": {"vector"}}.get(kind, set())
+    X, Y = sc.BallInf(np.zeros(2), 1.0), sc.BallInf(np.ones(2), 0.5)
+    operands = [X] if kind in ("LinearMap", "AffineMap", "Translation", "SymmetricIntervalHull", "Complement") else [X, Y]
+    given = {"matrix": np.ones((3, 2)) if "vector" not in payloads else np.eye(2), "vector": [1.0, 2.0]}
+    node = make_node(kind, operands, **{name: given[name] for name in payloads})
+    assert node.dim == {"CartesianProduct": 4, "LinearMap": 3}.get(kind, 2)
+    for name in ("matrix", "vector"):
+        others = {other: given[other] for other in payloads - {name}}
+        if name in payloads:
+            with pytest.raises(ValueError, match=f"^{kind} needs a {name} payload$"):
+                make_node(kind, operands, **others)
+        else:
+            with pytest.raises(ValueError, match=f"^{kind} takes no {name} payload$"):
+                make_node(kind, operands, **others, **{name: given[name]})
+    if kind == "CartesianProduct":
+        assert make_node(kind, [X, sc.BallInf(np.zeros(3), 1.0)]).dim == 5
+    elif "matrix" in payloads:
+        with pytest.raises(DimensionMismatchError, match="matrix has 3 columns"):
+            make_node(kind, [X], matrix=np.ones((2, 3)), vector=given["vector"] if "vector" in payloads else None)
+    elif len(operands) == 2:
+        with pytest.raises(DimensionMismatchError, match="have different dimensions"):
+            make_node(kind, [X, sc.BallInf(np.zeros(3), 1.0)])
+
+
 @pytest.mark.parametrize("kind", ["LinearMap", "AffineMap"])
 def test_make_node_rejects_bad_matrices(kind):
     # A non-finite or non-2-D matrix is refused when the node is built, not

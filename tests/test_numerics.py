@@ -37,7 +37,7 @@ def test_approx_eq_symmetric_reflexive():
 
 
 def test_solve_lp_1d():
-    out = solve_lp(LinearProgram([1.0], [([1.0], 1.0), ([-1.0], 0.0)]))
+    out = solve_lp(LinearProgram([1.0], [[1.0], [-1.0]], [1.0, 0.0]))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimum == pytest.approx(1.0, abs=1e-9)
     assert out.optimizer[0] == pytest.approx(1.0, abs=1e-9)
@@ -45,27 +45,27 @@ def test_solve_lp_1d():
 
 def test_solve_lp_box_vertex():
     # Oracle: enumerate the four box vertices.
-    constraints = [([1, 0], 1.0), ([0, 1], 1.0), ([-1, 0], 0.0), ([0, -1], 0.0)]
+    A, b = [[1, 0], [0, 1], [-1, 0], [0, -1]], [1.0, 1.0, 0.0, 0.0]
     best = max(x + y for x in (0.0, 1.0) for y in (0.0, 1.0))
-    out = solve_lp(LinearProgram([1.0, 1.0], constraints))
+    out = solve_lp(LinearProgram([1.0, 1.0], A, b))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimum == pytest.approx(best, abs=1e-9)
     assert np.allclose(out.optimizer, [1.0, 1.0], atol=1e-9)
 
 
 def test_solve_lp_infeasible():
-    out = solve_lp(LinearProgram([1.0], [([1.0], 0.0), ([-1.0], -1.0)]))
+    out = solve_lp(LinearProgram([1.0], [[1.0], [-1.0]], [0.0, -1.0]))
     assert out.status is LpStatus.INFEASIBLE
 
 
 def test_solve_lp_unbounded():
-    out = solve_lp(LinearProgram([1.0], [([-1.0], 0.0)]))
+    out = solve_lp(LinearProgram([1.0], [[-1.0]], [0.0]))
     assert out.status is LpStatus.UNBOUNDED
 
 
 def test_solve_lp_empty_constraints():
-    assert solve_lp(LinearProgram([1.0, 2.0], [])).status is LpStatus.UNBOUNDED
-    out = solve_lp(LinearProgram([0.0, 0.0], []))
+    assert solve_lp(LinearProgram([1.0, 2.0], np.zeros((0, 2)), [])).status is LpStatus.UNBOUNDED
+    out = solve_lp(LinearProgram([0.0, 0.0], np.zeros((0, 2)), []))
     assert out.status is LpStatus.OPTIMAL
     assert out.optimum == 0.0
     assert np.array_equal(out.optimizer, np.zeros(2))
@@ -73,7 +73,47 @@ def test_solve_lp_empty_constraints():
 
 def test_lp_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        LinearProgram([1.0, 2.0], [([1.0], 1.0)])
+        LinearProgram([1.0, 2.0], [[1.0]], [1.0])
+
+
+@pytest.mark.parametrize(
+    "A, b",
+    [
+        (np.ones((2, 3)), np.ones(2)),  # one column too many
+        (np.ones((2, 1)), np.ones(2)),  # one column too few
+        (np.ones((2, 2)), np.ones(3)),  # b one entry too long
+        (np.ones((2, 2)), np.ones(1)),  # b one entry too short
+        (np.ones(2), np.ones(1)),  # A not a matrix
+        (np.ones((2, 2)), np.ones((2, 1))),  # b not a vector
+    ],
+)
+def test_lp_rejects_wrong_shapes(A, b):
+    with pytest.raises(DimensionMismatchError):
+        LinearProgram([1.0, 2.0], A, b)
+
+
+def test_feasibility_rejects_a_wrong_length_of_b():
+    for b in (np.ones(3), np.ones(1), np.ones((2, 1))):
+        with pytest.raises(DimensionMismatchError):
+            sc.is_feasible(np.ones((2, 2)), b)
+        with pytest.raises(DimensionMismatchError):
+            feasible_point(np.ones((2, 2)), b)
+
+
+def test_zero_rows_keep_their_dimension():
+    for n in (1, 2, 5):
+        assert LinearProgram(np.ones(n), np.zeros((0, n)), []).normals.shape == (0, n)
+    found = feasible_point(np.zeros((0, 3)), np.zeros(0))
+    assert found.shape == (3,) and np.array_equal(found, np.zeros(3))
+    assert sc.is_feasible(np.zeros((0, 3)), np.zeros(0))
+
+
+def test_zero_dimensional_polyhedron_is_the_origin():
+    # R^0 is one point: zero rows keep it nonempty and bounded, as the
+    # zero-row guards of the polyhedron queries answered before.
+    P = sc.HPolyhedron([], dim=0)
+    assert not sc.is_empty(P) and sc.is_bounded(P)
+    assert sc.an_element(P).shape == (0,)
 
 
 def _brute_force_max(c, normals, offsets, n):
@@ -117,7 +157,7 @@ def test_solve_lp_matches_vertex_enumeration():
         offsets = np.array(offsets)
         c = rng.normal(size=n)
 
-        out = solve_lp(LinearProgram(c, list(zip(normals, offsets))))
+        out = solve_lp(LinearProgram(c, normals, offsets))
         assert out.status is LpStatus.OPTIMAL
         oracle = _brute_force_max(c, normals, offsets, n)
         assert oracle is not None
@@ -146,15 +186,15 @@ def test_solve_lp_tolerates_degenerate_constraints():
                 normals.append(row.copy())  # strictly redundant
                 offsets.append(off + 0.5)
         c = rng.normal(size=n)
-        out = solve_lp(LinearProgram(c, list(zip(normals, offsets))))
+        out = solve_lp(LinearProgram(c, normals, offsets))
         assert out.status is LpStatus.OPTIMAL
         expected = float(c @ center) + float(np.sum(np.abs(c)))
         assert out.optimum == pytest.approx(expected, abs=1e-8)
 
 
 def test_feasibility_interface():
-    assert sc.is_feasible([(np.array([1.0]), 1.0), (np.array([-1.0]), 0.0)])
-    assert not sc.is_feasible([(np.array([1.0]), -1.0), (np.array([-1.0]), 0.0)])
+    assert sc.is_feasible(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+    assert not sc.is_feasible(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
 
 
 def test_feasibility_through_interior_point():
@@ -165,7 +205,8 @@ def test_feasibility_through_interior_point():
         for _ in range(6):
             a = rng.normal(size=3)
             constraints.append((a, float(a @ point) + rng.uniform(0.1, 1.0)))
-        assert sc.is_feasible(constraints)
-        found = feasible_point(constraints)
+        A, b = np.array([a for a, _ in constraints]), np.array([c for _, c in constraints])
+        assert sc.is_feasible(A, b)
+        found = feasible_point(A, b)
         for a, b in constraints:
             assert float(a @ found) <= b + 1e-8
