@@ -104,16 +104,19 @@ def _parse(obj, leaves):
 
 
 def parse_doc(text: str):
-    """Parse a document string into a validated expression tree."""
+    """Parse a document string into a validated expression tree (one nested
+    past the recursion limit is a ``DocumentError`` too)."""
     try:
         data = json.loads(text)
+        if isinstance(data, dict) and "version" in data:
+            if data["version"] != DOC_VERSION:
+                raise DocumentError(f"unsupported document version {data['version']!r}")
+            data = {k: v for k, v in data.items() if k != "version"}
+        return parse_node(data)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON at byte offset {exc.pos}: {exc.msg}") from exc
-    if isinstance(data, dict) and "version" in data:
-        if data["version"] != DOC_VERSION:
-            raise DocumentError(f"unsupported document version {data['version']!r}")
-        data = {k: v for k, v in data.items() if k != "version"}
-    return parse_node(data)
+    except RecursionError:
+        raise DocumentError("the document nests too deeply to read") from None
 
 
 def serialize_node(X) -> dict:
@@ -139,7 +142,10 @@ def serialize_node(X) -> dict:
 
 def serialize_doc(X) -> str:
     """Document text (with version field) for a set or expression tree."""
-    return json.dumps({"version": DOC_VERSION, **serialize_node(X)})
+    try:
+        return json.dumps({"version": DOC_VERSION, **serialize_node(X)})
+    except RecursionError:
+        raise UnsupportedOperationError("cannot serialize a tree nested this deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,9 @@ import numpy as np
 
 from . import sets
 from .numerics import ToleranceContext, within
-from .sets import _normal_angles, _normals_bound_2d, _pi_gaps
+from .sets import _gap_rule, _normal_angles
 
 _EPS = float(np.finfo(float).eps)
-
-
-def _largest_gap(theta: list) -> tuple[int, float]:
-    """Index i and size of the largest cyclic gap ``theta[i + 1] - theta[i]``
-    of sorted angles."""
-    g, largest = len(theta) - 1, theta[0] + 2.0 * math.pi - theta[-1]
-    for i in range(len(theta) - 1):
-        if theta[i + 1] - theta[i] > largest:
-            g, largest = i, theta[i + 1] - theta[i]
-    return g, largest
 
 
 def _parallel(ax: list, ay: list, i: int, j: int) -> bool:
@@ -140,12 +130,13 @@ def hpolygon_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> tuple[bo
     """Boundedness and vertices of the 2-D region ``{x : A x <= b}`` from one
     sort of the rows by normal angle.
 
-    ``bounded`` is the gap rule of :func:`_normals_bound_2d`.  The vertices
-    are the hull of every pairwise constraint intersection that passes the
-    membership test against every constraint: 10 atol as a distance, plus
-    16 eps |a| |p| for the rounding of ``a . p``.  None if no intersection
-    passes.  For an unbounded region they are those of the open chain that
-    starts after the gap of pi.
+    ``bounded`` is the gap rule that 2-D templates read too
+    (:func:`setcalc.sets._gap_rule`).  The vertices are the hull of every
+    pairwise constraint intersection that passes the membership test against
+    every constraint: 10 atol as a distance, plus 16 eps |a| |p| for the
+    rounding of ``a . p``.  None if no intersection passes.  For an
+    unbounded region they are those of the open chain that starts after the
+    gap of pi.
 
     The sweep (:func:`_sweep`) finds the lines that bound the region relaxed
     by ``w`` (twice that slack), so a region within 10 atol of empty keeps
@@ -164,23 +155,18 @@ def hpolygon_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> tuple[bo
     theta = _normal_angles(A)
     norms = np.hypot(A[:, 0], A[:, 1])
     order = np.argsort(theta, kind="stable")
-    th, ax, ay, bl, nl = np.column_stack((theta, A, b, norms))[order].T.tolist()
+    S = np.column_stack((theta, A, b, norms))[order]
+    th, ax, ay, bl, nl = S.T.tolist()
+    g, bounded = _gap_rule(S[:, 1:3], th)
     if not math.isfinite(sum(bl)) and not np.isfinite(b).all():
         # A row with offset +inf holds everywhere; one with -inf or nan nowhere.
-        bounded, finite = _normals_bound_2d(A), b < math.inf
         if np.isnan(b).any() or (b == -math.inf).any():
             return bounded, None
+        finite = b < math.inf
         return bounded, hpolygon_2d(A[finite], b[finite], ctx)[1]
-    g, largest = _largest_gap(th)
-    # The gap rule agrees with this unless the largest gap is within rounding of pi.
-    if abs(largest - math.pi) > 1e-9:
-        bounded = largest < math.pi
-    else:
-        bounded = not _pi_gaps(A[order], theta[order]).any()
     rows = order.tolist()
     # Start after the largest gap: an open chain begins there, and a closed
     # pass never meets two lines of nearly equal angle across its ends.
-    g += 1
     th, ax, ay, bl, nl, rows = (v[g:] + v[:g] for v in (th, ax, ay, bl, nl, rows))
     atol10 = 10.0 * ctx.atol
     reach = max(abs(c) / n for c, n in zip(bl, nl))

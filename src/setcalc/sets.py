@@ -122,8 +122,9 @@ def _convex_hull_2d(points: np.ndarray, eps: float | None = None) -> np.ndarray:
     points; starts at the lexicographically smallest vertex.
 
     ``eps`` is a distance: points within it of a kept point merge, and a
-    point within it of the chord past it is dropped as collinear.  It
-    defaults to the ambient absolute tolerance.
+    point within it of the chord past it is dropped as collinear if it
+    projects onto the chord (else it stays, so the hull contains every
+    point).  It defaults to the ambient absolute tolerance.
     """
     if eps is None:
         eps = resolve_tolerance(None).atol
@@ -149,7 +150,7 @@ def _convex_hull_2d(points: np.ndarray, eps: float | None = None) -> np.ndarray:
                 dx, dy = p[0] - ox, p[1] - oy
                 # cross = |p - o| * distance(a, line op); squares avoid the sqrt.
                 cross = (ax - ox) * dy - (ay - oy) * dx
-                if cross > 0.0 and cross * cross > eps2 * (dx * dx + dy * dy):
+                if cross > 0.0 and (cross * cross > eps2 * (dd := dx * dx + dy * dy) or not 0.0 <= (ax - ox) * dx + (ay - oy) * dy <= dd):
                     break
                 out.pop()
             out.append(p)
@@ -746,10 +747,17 @@ class HPolyhedron(ConcreteSet):
         return not is_feasible(self.A, self.b, ctx)
 
     def is_bounded(self, ctx=None) -> bool:
-        """Whether the normals bound the region (:func:`_normals_bound`); it must be nonempty."""
-        if self._is_empty(ctx):
+        """Whether the normals bound the region (:func:`_normals_bound`; in 2-D
+        read from the sweep of :func:`_hpolygon_2d`); it must be nonempty."""
+        if self.dim == 2:
+            bounded, vertices = _hpolygon_2d(self.A, self.b, resolve_tolerance(ctx))
+            if bounded:
+                if vertices is None:
+                    raise EmptySetError("the polyhedron is empty")
+                return True
+        if not is_feasible(self.A, self.b, ctx):
             raise EmptySetError("is_bounded of an empty polyhedron")
-        return _normals_bound(self.A)
+        return self.dim != 2 and _normals_bound(self.A)
 
     def an_element(self, ctx=None) -> np.ndarray:
         point = feasible_point(self.A, self.b, ctx)
@@ -809,41 +817,41 @@ def _normal_angles(U: np.ndarray) -> np.ndarray:
     return np.arctan2(U[:, 1] + 0.0, U[:, 0])
 
 
-def _pi_gaps(U: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """For rows U sorted by their angles theta: whether the cyclic gap from
-    each unit normal to the next reaches pi.  A gap over 90 degrees is read
-    from its sine (the cross product), up to the rounding of the
-    normalization, so antiparallel normals make a gap of pi."""
-    U = U / np.sqrt((U * U).sum(axis=1))[:, None]
-    V = np.concatenate((U[1:], U[:1]))
-    gap = np.append(theta[1:], theta[0] + 2.0 * math.pi) - theta
-    sine = U[:, 0] * V[:, 1] - U[:, 1] * V[:, 0]
-    return np.where((U * V).sum(axis=1) < 0.0, sine <= 1e-14, gap > math.pi)
+def _gap_rule(U: np.ndarray, theta: list) -> tuple[int, bool]:
+    """For 2-D normals U sorted by their angles theta (a list): the index of
+    the first normal after the largest cyclic gap (ties go to the gap that
+    wraps around, then to the first), and whether no gap reaches pi, so that
+    nonempty regions ``{x : U x <= b}`` are bounded.  Where the largest gap
+    is within 1e-9 of pi, a gap over 90 degrees is read from its sine, up to
+    the rounding of the normalization, so antiparallel normals make pi."""
+    k, largest = 0, theta[0] + 2.0 * math.pi - theta[-1]  # gap k ends at normal k
+    for i in range(1, len(theta)):
+        if theta[i] - theta[i - 1] > largest:
+            k, largest = i, theta[i] - theta[i - 1]
+    if abs(largest - math.pi) > 1e-9:
+        return k, largest < math.pi
+    gap = np.concatenate(([theta[0] + 2.0 * math.pi - theta[-1]], np.diff(theta)))
+    V = U / np.sqrt((U * U).sum(axis=1))[:, None]
+    W = np.concatenate((V[-1:], V[:-1]))
+    sine = W[:, 0] * V[:, 1] - W[:, 1] * V[:, 0]
+    return k, not np.where((W * V).sum(axis=1) < 0.0, sine <= 1e-14, gap > math.pi).any()
 
 
 def _normals_bound(U: np.ndarray) -> bool:
     """Whether the rows of U positively span the space, so that nonempty
-    regions ``{x : U x <= b}`` are bounded.  In 2-D by the angular gaps
-    (:func:`_normals_bound_2d`); otherwise exactly when U has rank n and no x
-    has ``U x <= 0`` with ``U x != 0`` (Farkas: some y > 0 has ``U^T y = 0``).
-    One LP tells: ``-(sum of the rows) . x`` is bounded over that cone, which
-    holds the origin, so the LP needs no phase 1."""
+    regions ``{x : U x <= b}`` are bounded.  In 2-D by the gap rule of the
+    normals sorted by angle (:func:`_gap_rule`, as the H-polygon kernel);
+    otherwise exactly when U has rank n and no x has ``U x <= 0`` with
+    ``U x != 0`` (Farkas: some y > 0 has ``U^T y = 0``).  One LP tells:
+    ``-(sum of the rows) . x`` is bounded over that cone, which holds the
+    origin, so the LP needs no phase 1."""
     if U.shape[1] == 2:
-        return _normals_bound_2d(U)
+        theta = _normal_angles(U)
+        order = np.argsort(theta, kind="stable")
+        return len(U) > 0 and _gap_rule(U[order], theta[order].tolist())[1]
     if np.linalg.matrix_rank(U) < U.shape[1]:
         return False
     return solve_lp(LinearProgram(-U.sum(axis=0), U, np.zeros(len(U)))).status is LpStatus.OPTIMAL
-
-
-def _normals_bound_2d(U: np.ndarray) -> bool:
-    """Whether nonempty regions cut out by half-planes with the 2-D normals
-    in the rows of U are bounded: no cyclic gap between the normals, sorted
-    by angle, reaches pi (:func:`_pi_gaps`)."""
-    if not len(U):
-        return False
-    theta = _normal_angles(U)
-    order = np.argsort(theta, kind="stable")
-    return not _pi_gaps(U[order], theta[order]).any()
 
 
 _hpolygon_kernel = None
@@ -859,17 +867,13 @@ def _hpolygon_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> tuple[b
     return _hpolygon_kernel(A, b, ctx)
 
 
-def _hrep_vertices_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> np.ndarray | None:
-    """The vertices of :func:`_hpolygon_2d`."""
-    return _hpolygon_2d(A, b, ctx)[1]
-
-
 class VPolygon(ConcreteSet):
     """Two-dimensional polytope as a counter-clockwise vertex list.
 
     The constructor canonicalizes: duplicate points are merged, the convex
-    hull is taken, collinear points dropped, and the cycle starts at the
-    lexicographically smallest vertex.
+    hull is taken, and the cycle starts at the lexicographically smallest
+    vertex.  Collinear points are dropped, but a near-collinear extreme
+    point (one beyond the ends of the chord it is near) stays a vertex.
     """
 
     def __init__(self, vertices):

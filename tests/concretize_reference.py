@@ -22,8 +22,8 @@ from setcalc.sets import (
     VPolygon,
     Zonotope,
     _as_direction,
-    _hrep_vertices_2d,
-    _normals_bound_2d,
+    _hpolygon_2d,
+    _normals_bound,
 )
 
 _ZONOTOPAL_KINDS = frozenset(
@@ -147,9 +147,9 @@ def _concretize_2d(X, ctx):
         region = _intersection_hrep_2d(X, ctx)
         if concrete_ops.is_empty(region, ctx):
             return VPolygon([])
-        if not _normals_bound_2d(region.A):
+        if not _normals_bound(region.A):
             return region
-        vertices = _hrep_vertices_2d(region.A, region.b, ctx)
+        vertices = _hpolygon_2d(region.A, region.b, ctx)[1]
         return VPolygon([]) if vertices is None else VPolygon(vertices)
     if kind == "CartesianProduct":
         children = [reference_concretize(op, ctx) for op in X.operands]

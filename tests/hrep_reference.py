@@ -3,8 +3,8 @@
 This is the vertex enumeration as it was before the vectorized kernel: one
 Python iteration per constraint pair, each candidate tested against every
 constraint with the kernel's slack (10 atol as a distance, plus the rounding
-of ``a . x``, 16 eps |a| |x|).  Tests compare ``sets._hrep_vertices_2d``
-against it; the library does not use it.
+of ``a . x``, 16 eps |a| |x|).  Tests compare the vertices of
+``sets._hpolygon_2d`` against it; the library does not use it.
 """
 
 import numpy as np

@@ -8,7 +8,7 @@ import pytest
 
 import setcalc as sc
 from setcalc.cli import main, parse_doc, render_svg, serialize_doc
-from setcalc.errors import DocumentError
+from setcalc.errors import DocumentError, UnsupportedOperationError
 
 OMEGA_DOC = {
     "op": "ConvexHullUnion",
@@ -87,6 +87,24 @@ def test_parse_doc_errors():
     with pytest.raises(DocumentError) as info:
         parse_doc(json.dumps(stray))
     assert "takes no vector payload" in str(info.value)
+    with pytest.raises(DocumentError) as info:
+        parse_doc(_deep_doc(1000))
+    assert "nests too deeply" in str(info.value)
+
+
+def _deep_doc(steps):
+    """A chain of translations nested past what ``json.loads`` reads at the
+    default recursion limit, built flat."""
+    leaf = '{"set": "BallInf", "center": [0, 0], "radius": 1}'
+    return '{"op": "Translation", "vector": [1, 0], "args": [' * steps + leaf + "]}" * steps
+
+
+def test_serialize_doc_of_a_tree_too_deep_raises_a_typed_error():
+    X = sc.BallInf([0.0, 0.0], 1.0)
+    for _ in range(3000):
+        X = sc.make_node("Translation", [X], vector=[1.0, 0.0])
+    with pytest.raises(UnsupportedOperationError):
+        serialize_doc(X)
 
 
 def test_doc_roundtrip_structural_equality():
@@ -366,6 +384,8 @@ def test_cmd_plot_rejects_non_2d(tmp_path):
 def test_exit_code_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"set": "BallInf",')
+    assert main(["support", "--doc", str(path), "--dir", "1,0"]) == 2
+    path.write_text(_deep_doc(1000))
     assert main(["support", "--doc", str(path), "--dir", "1,0"]) == 2
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -34,11 +36,19 @@ def test_minkowski_sum_dimension_mismatch():
         sc.minkowski_sum(sc.BallInf(np.zeros(2), 1.0), sc.BallInf(np.zeros(3), 1.0))
 
 
+def _octagon_polygon(rng):
+    # Vertices at some of the eight multiples of 45 degrees: edges of two such
+    # polygons are parallel or meet at multiples of 45 degrees.
+    k = np.sort(rng.choice(8, size=int(rng.integers(3, 9)), replace=False))
+    radius = rng.uniform(0.5, 2.0, len(k)) if rng.random() < 0.5 else rng.uniform(0.5, 2.0)
+    return sc.VPolygon(np.column_stack((np.cos(k * math.pi / 4), np.sin(k * math.pi / 4))) * np.reshape(radius, (-1, 1)))
+
+
 def test_polygon_minkowski_matches_pairwise_sums():
     rng = np.random.default_rng(101)
-    for _ in range(30):
-        P = random_polygon(rng)
-        Q = random_polygon(rng)
+    for trial in range(60):
+        P = random_polygon(rng) if trial < 30 else _octagon_polygon(rng)
+        Q = random_polygon(rng) if trial < 20 else _octagon_polygon(rng)
         out = sc.minkowski_sum(P, Q)
         # Oracle: hull of all pairwise vertex sums.
         sums = np.array([p + q for p in P.vertices for q in Q.vertices])

@@ -181,3 +181,28 @@ def test_polygons_from_zonotopes_and_hpolytopes_are_hulled_once(monkeypatch):
             polygon = convert(X)
             assert len(hulls) == 1
             assert polygon == sc.VPolygon(X.vertices_list())
+
+
+def test_2d_is_bounded_reads_one_sweep_and_no_normals_test(monkeypatch, lp_calls):
+    sweeps, normals = [], []
+    kernel, bound = setcalc.sets._hpolygon_2d, setcalc.sets._normals_bound
+    monkeypatch.setattr(setcalc.sets, "_hpolygon_2d", lambda *args: sweeps.append(1) or kernel(*args))
+    monkeypatch.setattr(setcalc.sets, "_normals_bound", lambda *args: normals.append(1) or bound(*args))
+    square = _hpolyhedron(np.concatenate((np.eye(2), -np.eye(2))), [1.0, 1.0, 1.0, 1.0])
+    wedge = _hpolyhedron(np.eye(2), [1.0, 1.0])
+    # Empty with bounded normals (the sweep finds no vertex), and with the
+    # antiparallel normals of an empty strip (the LP finds no point).
+    empty_box = _hpolyhedron(np.concatenate((np.eye(2), -np.eye(2))), [1.0, 1.0, -2.0, 1.0])
+    empty_strip = _hpolyhedron([[0.0, 1.0], [0.0, -1.0]], [0.0, -1.0])
+    for H, bounded, lps in ((square, True, 0), (wedge, False, 1), (empty_box, None, 0), (empty_strip, None, 1)):
+        del sweeps[:], lp_calls[:]
+        if bounded is None:
+            with pytest.raises(EmptySetError):
+                H.is_bounded()
+        else:
+            assert H.is_bounded() is bounded
+        assert (len(sweeps), len(normals), len(lp_calls)) == (1, 0, lps)
+    # Outside 2-D the normals test decides, and no sweep runs.
+    del sweeps[:]
+    assert _hpolyhedron(np.concatenate((np.eye(3), -np.eye(3))), np.ones(6)).is_bounded()
+    assert (len(sweeps), len(normals)) == (0, 1)

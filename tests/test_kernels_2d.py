@@ -59,6 +59,46 @@ def test_zonotope_vertices_degenerate_cases():
     assert [v.tolist() for v in sc.vertices_list(sc.Zonotope([1.0, 2.0], np.zeros((2, 3))))] == [[1.0, 2.0]]
 
 
+def _distance_to_boundary(x, V):
+    """Distance from x to the boundary of the convex polygon V (a point or a
+    segment included)."""
+    ends = np.roll(V, -1, axis=0)
+    u = ends - V
+    t = np.clip(((x - V) * u).sum(axis=1) / np.maximum((u * u).sum(axis=1), 1e-300), 0.0, 1.0)
+    return float(np.min(np.hypot(*(V + t[:, None] * u - x).T)))
+
+
+def _keeps_qhull_vertices(points, hull, atol):
+    """Every vertex qhull finds lies within atol of the hull polygon: the
+    polygon's vertices are input points, so a qhull vertex is on or outside
+    it, and its distance to the boundary is its distance to the polygon."""
+    spatial = pytest.importorskip("scipy.spatial")
+    for vertex in points[spatial.ConvexHull(points).vertices]:
+        assert _distance_to_boundary(vertex, hull) <= atol, (points.tolist(), hull.tolist())
+
+
+def test_hull_keeps_the_ends_of_near_vertical_triples():
+    atol = resolve_tolerance(None).atol
+    assert np.array_equal(setcalc.sets._convex_hull_2d(np.array([[0.0, 0.0], [-1e-17, 1.0], [0.0, 2.0], [1.0, 1.0]])),
+                          [[-1e-17, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        # Three points whose x lie within 1e-20 to 1e-9 of each other (the
+        # monotone chain meets them in lexicographic order), and one off to a side.
+        x0, y = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0, 3)
+        triple = np.column_stack((x0 + rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-20.0, -9.0), y))
+        side = [x0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0), rng.uniform(-2.0, 2.0)]
+        points = np.vstack((triple, side))
+        _keeps_qhull_vertices(points, setcalc.sets._convex_hull_2d(points), atol)
+
+
+def test_thin_zonotope_keeps_its_corners():
+    c, G = np.zeros(2), np.array([[1e-12, -1e-12, 1.0], [1.0, 1.0, 0.0]])
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T
+    polygon = sc.convert_to(sc.VPolygon, sc.Zonotope(c, G))
+    _keeps_qhull_vertices(c + signs @ G.T, polygon.vertices, resolve_tolerance(None).atol)
+
+
 def _random_hrep(rng, m):
     A = rng.normal(size=(m, 2))
     if rng.random() < 0.3:
@@ -77,7 +117,7 @@ def test_hrep_vertices_match_pairwise_reference():
         constraints = _random_hrep(rng, int(rng.integers(1, 40)))
         expected = reference_hrep_vertices_2d(constraints, ctx)
         H = sc.HPolyhedron(constraints)
-        got = setcalc.sets._hrep_vertices_2d(H.A, H.b, ctx)
+        got = setcalc.sets._hpolygon_2d(H.A, H.b, ctx)[1]
         if expected is None:
             assert got is None
         else:
@@ -145,7 +185,6 @@ def test_hpolygon_kernel_is_bit_identical_to_the_pairwise_reference():
         with np.errstate(invalid="ignore"):  # the reference meets the non-finite offsets
             expected = reference_hrep_vertices_2d(constraints, ctx)
         bounded, got = setcalc.sets._hpolygon_2d(H.A, H.b, ctx)
-        assert bounded == setcalc.sets._normals_bound_2d(H.A)
         if expected is None:
             assert got is None
         else:
@@ -318,7 +357,7 @@ def test_tovrep_matches_stepwise_reference_on_random_hreps():
     for _ in range(400):
         constraints = _random_hrep(rng, int(rng.integers(1, 40)))
         H = sc.HPolyhedron(constraints)
-        if setcalc.sets._normals_bound_2d(H.A):
+        if setcalc.sets._normals_bound(H.A):
             vertices = reference_hrep_vertices_2d(constraints, ctx)
             expected = EmptySetError if vertices is None else sc.VPolygon(vertices)
         elif not setcalc.numerics.is_feasible(H.A, H.b, ctx):
