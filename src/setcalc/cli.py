@@ -291,7 +291,9 @@ def cmd_check(args) -> int:
     else:
         tree_b = _load_doc(args.doc2)
         relation = getattr(concrete_ops, f"is_{args.relation}")
-        verdict = relation(lazyops.concretize(tree_a), lazyops.concretize(tree_b))
+        # Inclusion reads only support values of the first operand.
+        first = tree_a if args.relation == "subset" else lazyops.concretize(tree_a)
+        verdict = relation(first, lazyops.concretize(tree_b))
     print("true" if verdict else "false")
     return EXIT_OK
 

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import sets
 from .errors import DimensionMismatchError, EmptySetError, UnsupportedOperationError
 from .numerics import ToleranceContext, resolve_tolerance, within
 from .sets import (
@@ -29,6 +30,7 @@ from .sets import (
     VPolytope,
     Zonotope,
     _row_products,
+    _segment_hrep_2d,
 )
 
 
@@ -388,8 +390,13 @@ def is_subset(X: ConvexSet, Y: ConcreteSet, ctx: ToleranceContext | None = None)
     return bool(np.all(within(values, b, A, ctx)))
 
 
+_POLYGONAL = (HPolyhedron, VPolygon, VPolytope, AbstractHyperrectangle, Zonotope)
+
+
 def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
-    """Whether X and Y share no point; touching boundaries count as sharing."""
+    """Whether X and Y share no point; touching boundaries count as sharing.
+    Boxes, half-spaces and bounded 2-D polytopes: iff some axis u has
+    ``rho(u, X) + rho(-u, Y) < -atol |u|``; others: iff stacked constraints are empty."""
     ctx = resolve_tolerance(ctx)
     _require_same_dim(X, Y)
     if isinstance(X, AbstractHyperrectangle) and isinstance(Y, AbstractHyperrectangle):
@@ -401,12 +408,44 @@ def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = N
         # X = {a.x <= b} misses Y iff the minimum of a.x over Y exceeds b.
         minimum = -Y.support_function(-X.normal, ctx)
         return not within(minimum, X.offset, X.normal, ctx)
+    if X.dim == 2 and isinstance(X, _POLYGONAL) and isinstance(Y, _POLYGONAL) and (
+        (PX := _polygon_axes(X, ctx)) is not None and (PY := _polygon_axes(Y, ctx)) is not None
+    ):
+        (X, NX), (Y, NY) = PX, PY
+        if is_empty(X, ctx) or is_empty(Y, ctx):
+            return True
+        # 0 is outside X - Y iff an edge normal of X or Y, up to sign, separates (Gottschalk,
+        # Lin and Manocha, "OBBTree", 1996); when both are points, their difference.
+        U = np.concatenate((NX, NY)) if len(NX) + len(NY) else (X.an_element() - Y.an_element())[None]
+        D = np.concatenate((U, -U))
+        return not np.all(within(-Y._support_batch(-D, ctx, False)[0], X._support_batch(D, ctx, False)[0], D, ctx))
     if _has_constraints(X) and _has_constraints(Y):
         (AX, bX), (AY, bY) = X._hrep(ctx), Y._hrep(ctx)
         return is_empty(HPolyhedron._from_arrays(np.vstack((AX, AY)), np.concatenate((bX, bY))), ctx)
     raise UnsupportedOperationError(
         f"is_disjoint is not implemented for {type(X).__name__} and {type(Y).__name__}"
     )
+
+
+def _polygon_axes(X: ConcreteSet, ctx: ToleranceContext):
+    """``(P, N)`` for a bounded 2-D polytope X: P is X in a form that answers
+    support queries without an LP or a sweep, and the rows of N are its edge
+    normals, with a segment's direction; None for an unbounded X."""
+    if isinstance(X, VPolytope):
+        X = VPolygon(X.vertices)
+    if isinstance(X, HPolyhedron):
+        bounded, V = sets._hpolygon_2d(X.A, X.b, ctx)
+        X = VPolygon._from_hull([] if V is None else V) if bounded else None
+    if isinstance(X, VPolygon):
+        k = X.num_vertices
+        return X, X._hrep(ctx)[0] if k > 2 else _segment_hrep_2d(*X.vertices)[0] if k == 2 else X.vertices[:0]
+    if isinstance(X, AbstractHyperrectangle):
+        return X, np.eye(2)
+    if isinstance(X, Zonotope):
+        G = X.generators.T[X.generators.any(axis=0)]
+        # A generator's direction is an axis too, in case all are parallel.
+        return X, np.vstack((G[:, ::-1] * [1.0, -1.0], G[:1]))
+    return None
 
 
 def is_equivalent(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:

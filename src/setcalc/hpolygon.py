@@ -247,7 +247,7 @@ def hpolygon_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> tuple[bo
     P = np.array(points).reshape(-1, 2)
     if tests:
         P = np.concatenate((P, _tested_points(A, b, tests, np.column_stack((vx, vy)), 0.75 * R, ctx)))
-    return bounded, (sets._convex_hull_2d(P) if len(P) else None)
+    return bounded, (sets._convex_hull_2d(P, ctx.atol) if len(P) else None)
 
 
 def _tested_points(A, b, tests, V, reach, ctx) -> np.ndarray:

@@ -877,7 +877,7 @@ class VPolygon(ConcreteSet):
     """
 
     def __init__(self, vertices):
-        pts = np.array(list(vertices), dtype=float)
+        pts = np.asarray(vertices, dtype=float)
         if pts.size == 0:
             self.vertices = np.zeros((0, 2))
         else:
@@ -890,7 +890,7 @@ class VPolygon(ConcreteSet):
 
     @classmethod
     def _from_hull(cls, vertices) -> "VPolygon":
-        # Vertices that _convex_hull_2d returned (ambient tolerance): no second hull.
+        # Vertices that _convex_hull_2d returned: no second hull.
         P = object.__new__(cls)
         P.vertices = np.array(vertices, dtype=float).reshape(-1, 2)
         P.vertices.flags.writeable = False
@@ -950,8 +950,7 @@ class VPolygon(ConcreteSet):
                 f"polygon with {k} vertices is degenerate (collinear); no H-representation"
             )
         V = self.vertices
-        E = np.roll(V, -1, axis=0) - V
-        N = np.column_stack((E[:, 1], -E[:, 0]))
+        N = (np.concatenate((V[1:], V[:1])) - V)[:, ::-1] * [1.0, -1.0]
         return N, np.matmul(N[:, None, :], V[:, :, None])[:, 0, 0]
 
     def is_bounded(self, ctx=None) -> bool:

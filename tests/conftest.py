@@ -22,6 +22,20 @@ def lp_calls(monkeypatch):
 
 
 @pytest.fixture
+def hpolygon_calls(monkeypatch):
+    """The list of every 2-D H-polygon sweep the library runs while the test
+    runs, as the ``(A, b)`` pair it was given."""
+    calls = []
+
+    def counting(A, b, ctx, sweep=setcalc.sets._hpolygon_2d):
+        calls.append((A, b))
+        return sweep(A, b, ctx)
+
+    monkeypatch.setattr(setcalc.sets, "_hpolygon_2d", counting)
+    return calls
+
+
+@pytest.fixture
 def demo_polygon():
     """The seven-vertex demo polygon used across the docs."""
     return sc.VPolygon(

@@ -295,6 +295,37 @@ def test_cmd_check_disjoint_and_false_verdict_exit_zero(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "false"
 
 
+def test_cmd_check_disjoint_answers_a_segment(tmp_path, capsys):
+    segment = _write(tmp_path, "a.json", {"set": "VPolygon", "vertices": [[0.0, 0.0], [1.0, 1.0]]})
+    triangle = _write(tmp_path, "b.json", {"set": "VPolygon", "vertices": [[2.0, 0.0], [3.0, 1.0], [2.0, 1.0]]})
+    point = _write(tmp_path, "c.json", {"set": "VPolygon", "vertices": [[0.5, 0.5]]})
+    assert main(["check", "--doc", segment, "--doc2", triangle, "--relation", "disjoint"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    assert main(["check", "--doc", segment, "--doc2", point, "--relation", "disjoint"]) == 0
+    assert capsys.readouterr().out.strip() == "false"
+
+
+def test_cmd_check_subset_reads_the_first_operand_lazily(tmp_path, capsys):
+    # A 3-D sum over a mapped H-polytope cannot be concretized; inclusion
+    # needs only its support values.
+    unit_box = [{"normal": list(s * e), "offset": 1.0} for e in np.eye(3) for s in (1.0, -1.0)]
+    tree = {
+        "op": "MinkowskiSum",
+        "args": [
+            {"op": "LinearMap", "matrix": [[1.0, 0.2, 0.0], [0.0, 1.0, 0.1], [0.1, 0.0, 1.0]],
+             "args": [{"set": "HPolytope", "constraints": unit_box}]},
+            {"set": "BallInf", "center": [0.0, 0.0, 0.0], "radius": 0.1},
+        ],
+    }
+    doc_a = _write(tmp_path, "a.json", tree)
+    doc_b = _write(tmp_path, "b.json", {"set": "BallInf", "center": [0.0, 0.0, 0.0], "radius": 3.0})
+    assert main(["check", "--doc", doc_a, "--doc2", doc_b, "--relation", "subset"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+    small = _write(tmp_path, "c.json", {"set": "BallInf", "center": [0.0, 0.0, 0.0], "radius": 1.2})
+    assert main(["check", "--doc", doc_a, "--doc2", small, "--relation", "subset"]) == 0
+    assert capsys.readouterr().out.strip() == "false"
+
+
 def test_cmd_check_unsupported_pair(tmp_path):
     doc_a = _write(tmp_path, "a.json", {"set": "VPolytope", "vertices": [[0, 0, 0], [1, 1, 1]]})
     doc_b = _write(tmp_path, "b.json", {"set": "VPolytope", "vertices": [[0, 0, 0], [2, 2, 2]]})

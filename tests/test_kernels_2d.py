@@ -382,3 +382,18 @@ def test_bounded_2d_hpolytope_support_vectors_solve_no_lp(lp_calls):
     values, vectors = octagon.support_batch(np.eye(2), vectors=True)
     assert len(lp_calls) == 0
     assert np.allclose(np.einsum("ij,ij->i", vectors, np.eye(2)), values)
+
+
+def test_hpolygon_vertices_are_hulled_at_the_query_tolerance():
+    # A triangle of legs 5e-9 from unit normals keeps its three vertices at
+    # atol 1e-15, as its copy scaled by 1e6 does: the hull merges points at
+    # the query's tolerance, not at the ambient 1e-8.
+    ctx = ToleranceContext(1e-15)
+    for scale in (1.0, 1e6):
+        s = 5e-9 * scale
+        H = sc.HPolytope([sc.HalfSpace([0.0, -1.0], 0.0), sc.HalfSpace([-1.0, 0.0], 0.0),
+                          sc.HalfSpace([math.sqrt(0.5), math.sqrt(0.5)], s * math.sqrt(0.5))])
+        V = np.array(H.vertices_list(ctx))
+        assert V.shape == (3, 2)
+        assert np.allclose(V / s, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], atol=1e-6)
+
