@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from . import sets
 from .errors import DimensionMismatchError, EmptySetError, UnsupportedOperationError
 from .numerics import ToleranceContext, resolve_tolerance, within
 from .sets import (
@@ -29,8 +28,8 @@ from .sets import (
     VPolygon,
     VPolytope,
     Zonotope,
+    _axes_overlap,
     _row_products,
-    _segment_hrep_2d,
 )
 
 
@@ -412,13 +411,7 @@ def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = N
         (PX := _polygon_axes(X, ctx)) is not None and (PY := _polygon_axes(Y, ctx)) is not None
     ):
         (X, NX), (Y, NY) = PX, PY
-        if is_empty(X, ctx) or is_empty(Y, ctx):
-            return True
-        # 0 is outside X - Y iff an edge normal of X or Y, up to sign, separates (Gottschalk,
-        # Lin and Manocha, "OBBTree", 1996); when both are points, their difference.
-        U = np.concatenate((NX, NY)) if len(NX) + len(NY) else (X.an_element() - Y.an_element())[None]
-        D = np.concatenate((U, -U))
-        return not np.all(within(-Y._support_batch(-D, ctx, False)[0], X._support_batch(D, ctx, False)[0], D, ctx))
+        return is_empty(X, ctx) or is_empty(Y, ctx) or not _axes_overlap(X, NX, Y, NY, ctx)
     if _has_constraints(X) and _has_constraints(Y):
         (AX, bX), (AY, bY) = X._hrep(ctx), Y._hrep(ctx)
         return is_empty(HPolyhedron._from_arrays(np.vstack((AX, AY)), np.concatenate((bX, bY))), ctx)
@@ -434,11 +427,13 @@ def _polygon_axes(X: ConcreteSet, ctx: ToleranceContext):
     if isinstance(X, VPolytope):
         X = VPolygon(X.vertices)
     if isinstance(X, HPolyhedron):
-        bounded, V = sets._hpolygon_2d(X.A, X.b, ctx)
-        X = VPolygon._from_hull([] if V is None else V) if bounded else None
+        try:
+            V = X._polygon_vertices(ctx)
+        except EmptySetError:
+            V = []
+        X = None if V is None else VPolygon._from_hull(V)
     if isinstance(X, VPolygon):
-        k = X.num_vertices
-        return X, X._hrep(ctx)[0] if k > 2 else _segment_hrep_2d(*X.vertices)[0] if k == 2 else X.vertices[:0]
+        return X, X._axes()
     if isinstance(X, AbstractHyperrectangle):
         return X, np.eye(2)
     if isinstance(X, Zonotope):

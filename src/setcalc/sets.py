@@ -708,17 +708,24 @@ class HPolyhedron(ConcreteSet):
     def _hrep(self, ctx):
         return self.A, self.b
 
-    def _support_batch(self, D, ctx, vectors):
-        """In 2-D, when the normals bound the region, its vertices, from one
-        angle sweep of the constraints (:func:`_hpolygon_2d`), answer every
-        direction without an LP (no vertex: ``EmptySetError``).  Otherwise one
-        LP per direction yields the value and the maximizer."""
+    def _polygon_vertices(self, ctx) -> np.ndarray | None:
+        """In 2-D, where the normals bound the region, its vertices from one
+        angle sweep of the constraints (:func:`_hpolygon_2d`; no vertex:
+        ``EmptySetError``).  Otherwise None."""
         if self.dim == 2:
             bounded, vertices = _hpolygon_2d(self.A, self.b, resolve_tolerance(ctx))
             if bounded:
                 if vertices is None:
                     raise EmptySetError("the polyhedron is empty")
-                return _vertex_support(vertices, D, vectors)
+                return vertices
+        return None
+
+    def _support_batch(self, D, ctx, vectors):
+        """Where :meth:`_polygon_vertices` gives the vertices, they answer
+        every direction without an LP.  Otherwise one LP per direction yields
+        the value and the maximizer."""
+        if (vertices := self._polygon_vertices(ctx)) is not None:
+            return _vertex_support(vertices, D, vectors)
         values, points = np.empty(len(D)), np.empty(D.shape)
         for i, d in enumerate(D):
             outcome = solve_lp(LinearProgram(d, self.A, self.b), ctx)
@@ -740,21 +747,18 @@ class HPolyhedron(ConcreteSet):
         """Emptiness: in 2-D, where the normals bound the region, by the same
         angle sweep as its vertices (a point within 10 atol of every
         constraint counts); otherwise by a feasibility LP."""
-        if self.dim == 2:
-            bounded, vertices = _hpolygon_2d(self.A, self.b, resolve_tolerance(ctx))
-            if bounded:
-                return vertices is None
+        try:
+            if self._polygon_vertices(ctx) is not None:
+                return False
+        except EmptySetError:
+            return True
         return not is_feasible(self.A, self.b, ctx)
 
     def is_bounded(self, ctx=None) -> bool:
         """Whether the normals bound the region (:func:`_normals_bound`; in 2-D
-        read from the sweep of :func:`_hpolygon_2d`); it must be nonempty."""
-        if self.dim == 2:
-            bounded, vertices = _hpolygon_2d(self.A, self.b, resolve_tolerance(ctx))
-            if bounded:
-                if vertices is None:
-                    raise EmptySetError("the polyhedron is empty")
-                return True
+        read from the sweep of :meth:`_polygon_vertices`); it must be nonempty."""
+        if self._polygon_vertices(ctx) is not None:
+            return True
         if not is_feasible(self.A, self.b, ctx):
             raise EmptySetError("is_bounded of an empty polyhedron")
         return self.dim != 2 and _normals_bound(self.A)
@@ -775,12 +779,9 @@ class HPolyhedron(ConcreteSet):
             raise UnsupportedOperationError(
                 "vertex enumeration of H-representations is only implemented for dimension <= 2"
             )
+        if (vertices := self._polygon_vertices(ctx)) is not None:
+            return list(vertices)
         if self.dim == 2:
-            bounded, vertices = _hpolygon_2d(self.A, self.b, ctx)
-            if bounded:
-                if vertices is None:
-                    raise EmptySetError("the polyhedron is empty")
-                return [row for row in vertices]
             if not is_feasible(self.A, self.b, ctx):
                 raise EmptySetError("vertex enumeration of an empty polyhedron")
             raise UnboundedSetError("vertex enumeration of an unbounded polyhedron")
@@ -867,6 +868,17 @@ def _hpolygon_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> tuple[b
     return _hpolygon_kernel(A, b, ctx)
 
 
+def _axes_overlap(X, NX, Y, NY, ctx) -> bool:
+    """Whether the nonempty bounded 2-D polytopes X and Y, with separating
+    axes NX and NY (edge normals; none for a point), share a point up to
+    atol: iff on every axis u, with both signs (two points: their
+    difference), ``rho(u, X) + rho(-u, Y) >= -atol |u|`` (Gottschalk, Lin
+    and Manocha, "OBBTree", 1996)."""
+    U = np.concatenate((NX, NY)) if len(NX) + len(NY) else (X.an_element() - Y.an_element())[None]
+    D = np.concatenate((U, -U))
+    return bool(np.all(within(-Y._support_batch(-D, ctx, False)[0], X._support_batch(D, ctx, False)[0], D, ctx)))
+
+
 class VPolygon(ConcreteSet):
     """Two-dimensional polytope as a counter-clockwise vertex list.
 
@@ -921,37 +933,45 @@ class VPolygon(ConcreteSet):
         return _vertex_support(self.vertices, D, vectors)
 
     def contains(self, x, ctx=None) -> bool:
-        # atol is a distance: from the segment when there are one or two
-        # vertices, else from each edge's line (the cross product over the
-        # edge length).  Python floats: k is small and most calls exit early.
+        # The separating-axis rule of is_disjoint for the point and the
+        # polygon (:func:`_axes_overlap`), so both read the same verdict.
+        # Python floats decide first where the rule cannot differ: a point
+        # inside every edge line is in, one 2 atol beyond an edge line is out.
         ctx = resolve_tolerance(ctx)
-        px, py = _as_vector(x, 2, "point").tolist()
+        p = _as_vector(x, 2, "point")
         V = self.vertices.tolist()
-        if not V:
-            return False
-        if len(V) <= 2:
-            (ax, ay), (bx, by) = V[0], V[-1]
-            ex, ey = bx - ax, by - ay
-            t = min(1.0, max(0.0, ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey))) if len(V) == 2 else 0.0
-            return math.hypot(px - ax - t * ex, py - ay - t * ey) <= ctx.atol
-        for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
-            if (bx - ax) * (py - ay) - (by - ay) * (px - ax) < -ctx.atol * math.hypot(bx - ax, by - ay):
-                return False
-        return True
+        if len(V) > 2:
+            (px, py), inside = p.tolist(), True
+            for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
+                cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+                if cross < -2.0 * ctx.atol * math.hypot(bx - ax, by - ay):
+                    return False
+                inside = inside and cross >= 0.0
+            if inside:
+                return True
+        P = VPolygon._from_hull(p)
+        return len(V) > 0 and _axes_overlap(P, P.vertices[:0], self, self._axes(), ctx)
 
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
         return [row for row in self.vertices]
 
+    def _axes(self) -> np.ndarray:
+        """The separating axes: the outward edge normals, a segment's
+        direction and normal (:func:`_segment_hrep_2d`), none for a point."""
+        V = self.vertices
+        if len(V) > 2:
+            # Each edge to the next vertex, turned a quarter clockwise.
+            return (np.concatenate((V[1:], V[:1])) - V)[:, ::-1] * [1.0, -1.0]
+        return _segment_hrep_2d(*V)[0] if len(V) == 2 else V[:0]
+
     def _hrep(self, ctx):
-        # Outward normals: each edge to the next vertex, turned a quarter clockwise.
         k = self.num_vertices
         if k < 3:
             raise DegeneratePolygonError(
                 f"polygon with {k} vertices is degenerate (collinear); no H-representation"
             )
-        V = self.vertices
-        N = (np.concatenate((V[1:], V[:1])) - V)[:, ::-1] * [1.0, -1.0]
-        return N, np.matmul(N[:, None, :], V[:, :, None])[:, 0, 0]
+        N = self._axes()
+        return N, np.matmul(N[:, None, :], self.vertices[:, :, None])[:, 0, 0]
 
     def is_bounded(self, ctx=None) -> bool:
         return True

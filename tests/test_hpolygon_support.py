@@ -183,10 +183,8 @@ def test_polygons_from_zonotopes_and_hpolytopes_are_hulled_once(monkeypatch):
             assert polygon == sc.VPolygon(X.vertices_list())
 
 
-def test_2d_is_bounded_reads_one_sweep_and_no_normals_test(monkeypatch, lp_calls):
-    sweeps, normals = [], []
-    kernel, bound = setcalc.sets._hpolygon_2d, setcalc.sets._normals_bound
-    monkeypatch.setattr(setcalc.sets, "_hpolygon_2d", lambda *args: sweeps.append(1) or kernel(*args))
+def test_2d_is_bounded_reads_one_sweep_and_no_normals_test(monkeypatch, lp_calls, hpolygon_calls):
+    normals, bound = [], setcalc.sets._normals_bound
     monkeypatch.setattr(setcalc.sets, "_normals_bound", lambda *args: normals.append(1) or bound(*args))
     square = _hpolyhedron(np.concatenate((np.eye(2), -np.eye(2))), [1.0, 1.0, 1.0, 1.0])
     wedge = _hpolyhedron(np.eye(2), [1.0, 1.0])
@@ -195,14 +193,39 @@ def test_2d_is_bounded_reads_one_sweep_and_no_normals_test(monkeypatch, lp_calls
     empty_box = _hpolyhedron(np.concatenate((np.eye(2), -np.eye(2))), [1.0, 1.0, -2.0, 1.0])
     empty_strip = _hpolyhedron([[0.0, 1.0], [0.0, -1.0]], [0.0, -1.0])
     for H, bounded, lps in ((square, True, 0), (wedge, False, 1), (empty_box, None, 0), (empty_strip, None, 1)):
-        del sweeps[:], lp_calls[:]
+        del hpolygon_calls[:], lp_calls[:]
         if bounded is None:
             with pytest.raises(EmptySetError):
                 H.is_bounded()
         else:
             assert H.is_bounded() is bounded
-        assert (len(sweeps), len(normals), len(lp_calls)) == (1, 0, lps)
+        assert (len(hpolygon_calls), len(normals), len(lp_calls)) == (1, 0, lps)
     # Outside 2-D the normals test decides, and no sweep runs.
-    del sweeps[:]
+    del hpolygon_calls[:]
     assert _hpolyhedron(np.concatenate((np.eye(3), -np.eye(3))), np.ones(6)).is_bounded()
-    assert (len(sweeps), len(normals)) == (0, 1)
+    assert (len(hpolygon_calls), len(normals)) == (0, 1)
+
+
+def test_every_2d_query_reads_one_sweep(hpolygon_calls):
+    # Support, emptiness, boundedness, vertices and disjointness of a 2-D
+    # H-polygon read one sweep each, also where it finds no vertex.
+    square = _hpolyhedron(np.concatenate((np.eye(2), -np.eye(2))), [1.0, 1.0, 1.0, 1.0])
+    empty_box = _hpolyhedron(np.concatenate((np.eye(2), -np.eye(2))), [1.0, 1.0, -2.0, 1.0])
+    far_box = sc.Hyperrectangle([5.0, 0.0], [1.0, 1.0])
+    queries = (
+        lambda H: H.support_batch(np.eye(2)),
+        lambda H: sc.is_empty(H),
+        lambda H: H.is_bounded(),
+        lambda H: H.vertices_list(),
+        lambda H: sc.is_disjoint(H, far_box),
+    )
+    for H, empty in ((square, False), (empty_box, True)):
+        for query in queries:
+            del hpolygon_calls[:]
+            try:
+                query(H)
+            except EmptySetError:
+                assert empty
+            assert len(hpolygon_calls) == 1
+    assert not sc.is_empty(square) and sc.is_empty(empty_box)
+    assert sc.is_disjoint(square, far_box) and sc.is_disjoint(empty_box, far_box)

@@ -249,6 +249,28 @@ def test_hpolygon_vertices_and_emptiness_match_qhull_and_highs_at_any_scale(lp_c
     assert len(lp_calls) == 0
 
 
+def test_hpolygon_vertices_do_not_depend_on_the_scale_of_each_row():
+    # A row (a, b) scaled by 10^u, u in [-9, 6], bounds the same half-plane:
+    # the vertex count stays, and the vertices agree within 1e-12 relative.
+    ctx = resolve_tolerance(None)
+    rng = np.random.default_rng(909)
+    for trial in range(200):
+        A, b, _ = _unit_hpolygon(rng, int(rng.integers(3, 40)))
+        expected = setcalc.sets._hpolygon_2d(A, b, ctx)[1]
+        s = 10.0 ** rng.uniform(-9.0, 6.0, len(b))
+        got = setcalc.sets._hpolygon_2d(A * s[:, None], b * s, ctx)[1]
+        assert len(got) == len(expected), trial
+        for vertex in expected:
+            assert np.min(np.max(np.abs(got - vertex), axis=1)) <= 1e-12 * max(1.0, np.abs(vertex).max()), trial
+    # The triangle (0, 0), (5e-9, 0), (0, 5e-9) from normals with entries
+    # 5e-9: their determinants are far below 1e-14, their sines are not.
+    s = 5e-9
+    H = sc.HPolytope._from_arrays([[0.0, -s], [-s, 0.0], [s, s]], [0.0, 0.0, s * s])
+    P = sc.tovrep(H, ToleranceContext(1e-15))
+    assert P.num_vertices == 3
+    assert np.allclose(P.vertices / s, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], atol=1e-6)
+
+
 def test_tovrep_2048_redundant_constraints_is_fast_and_solves_no_lp(lp_calls):
     # A 16-gon under 2032 redundant rows: the sweep is O(m log m) where the
     # pairwise enumeration tested O(m^2) candidates (0.6 to 1 s at 2048 rows).

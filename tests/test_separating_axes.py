@@ -132,3 +132,41 @@ def test_a_segment_zonotope_with_generators_parallel_up_to_rounding(center, disj
     ]
     for X, Y in itertools.product(segment, others):
         assert sc.is_disjoint(X, Y) is disjoint is sc.is_disjoint(Y, X), (X, Y)
+
+
+def test_membership_past_a_sharp_vertex_reads_the_disjointness_rule():
+    # 5 atol past the tip of a thin triangle the point lies within atol of
+    # both long edge lines, but the axis of the short edge separates it.
+    T = sc.VPolygon([[0.0, -1e-3], [0.0, 1e-3], [10.0, 0.0]])
+    for past, inside in ((5e-8, False), (5e-9, True)):
+        p = np.array([10.0 + past, 0.0])
+        assert T.contains(p) is inside
+        assert sc.is_disjoint(sc.VPolygon([p]), T) is not inside
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_membership_is_the_disjointness_of_the_point(k):
+    # Points 0.5 to 2 atol off an edge (outward) or a corner (any direction)
+    # of points, segments and polygons, sharp corners included: membership
+    # is exactly the negated separating-axis verdict.
+    rng = np.random.default_rng(2200 + k)
+    atol = resolve_tolerance(None).atol
+    seen = set()
+    for _ in range(300):
+        radii = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        angles = rng.uniform(0.0, 2.0 * np.pi, k)
+        T = sc.VPolygon(np.column_stack((radii[0] * np.cos(angles), radii[1] * np.sin(angles))))
+        V = T.vertices
+        i = int(rng.integers(len(V)))
+        off = rng.uniform(0.5, 2.0) * atol
+        if len(V) > 1 and rng.random() < 0.5:
+            e = V[(i + 1) % len(V)] - V[i]
+            u = np.array([e[1], -e[0]]) / np.hypot(*e)
+            p = V[i] + rng.uniform(0.0, 1.0) * e + off * u * (1.0 if len(V) > 2 else rng.choice([-1.0, 1.0]))
+        else:
+            turn = rng.uniform(0.0, 2.0 * np.pi)
+            p = V[i] + off * np.array([np.cos(turn), np.sin(turn)])
+        inside = T.contains(p)
+        assert inside == (not sc.is_disjoint(sc.VPolygon([p]), T))
+        seen.add(inside)
+    assert seen == {True, False}
