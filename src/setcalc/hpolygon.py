@@ -155,9 +155,9 @@ def hpolygon_2d(A: np.ndarray, b: np.ndarray, ctx: ToleranceContext) -> tuple[bo
     theta = _normal_angles(A)
     order = np.argsort(theta, kind="stable")
     th = theta[order].tolist()
-    g, bounded = _gap_rule(A[order], th)
     norms = np.hypot(A[:, 0], A[:, 1])
     U, c = A / norms[:, None], b / norms
+    g, bounded = _gap_rule(U[order], th)
     if not np.isfinite(c).all():
         # A row with offset +inf holds everywhere; one with -inf or nan nowhere.
         if np.isnan(c).any() or (c == -math.inf).any():

@@ -832,7 +832,7 @@ def _gap_rule(U: np.ndarray, theta: list) -> tuple[int, bool]:
     if abs(largest - math.pi) > 1e-9:
         return k, largest < math.pi
     gap = np.concatenate(([theta[0] + 2.0 * math.pi - theta[-1]], np.diff(theta)))
-    V = U / np.sqrt((U * U).sum(axis=1))[:, None]
+    V = U / np.hypot(U[:, 0], U[:, 1])[:, None]
     W = np.concatenate((V[-1:], V[:-1]))
     sine = W[:, 0] * V[:, 1] - W[:, 1] * V[:, 0]
     return k, not np.where((W * V).sum(axis=1) < 0.0, sine <= 1e-14, gap > math.pi).any()
@@ -935,22 +935,9 @@ class VPolygon(ConcreteSet):
     def contains(self, x, ctx=None) -> bool:
         # The separating-axis rule of is_disjoint for the point and the
         # polygon (:func:`_axes_overlap`), so both read the same verdict.
-        # Python floats decide first where the rule cannot differ: a point
-        # inside every edge line is in, one 2 atol beyond an edge line is out.
         ctx = resolve_tolerance(ctx)
-        p = _as_vector(x, 2, "point")
-        V = self.vertices.tolist()
-        if len(V) > 2:
-            (px, py), inside = p.tolist(), True
-            for (ax, ay), (bx, by) in zip(V, V[1:] + V[:1]):
-                cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-                if cross < -2.0 * ctx.atol * math.hypot(bx - ax, by - ay):
-                    return False
-                inside = inside and cross >= 0.0
-            if inside:
-                return True
-        P = VPolygon._from_hull(p)
-        return len(V) > 0 and _axes_overlap(P, P.vertices[:0], self, self._axes(), ctx)
+        P = VPolygon._from_hull(_as_vector(x, 2, "point"))
+        return self.num_vertices > 0 and _axes_overlap(P, P.vertices[:0], self, self._axes(), ctx)
 
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
         return [row for row in self.vertices]

@@ -250,18 +250,26 @@ def test_hpolygon_vertices_and_emptiness_match_qhull_and_highs_at_any_scale(lp_c
 
 
 def test_hpolygon_vertices_do_not_depend_on_the_scale_of_each_row():
-    # A row (a, b) scaled by 10^u, u in [-9, 6], bounds the same half-plane:
-    # the vertex count stays, and the vertices agree within 1e-12 relative.
+    # A row (a, b) scaled by 10^u, u in [-9, 6] or +-170, bounds the same
+    # half-plane: the vertex count stays, and the vertices agree within 1e-12
+    # relative.
     ctx = resolve_tolerance(None)
     rng = np.random.default_rng(909)
     for trial in range(200):
         A, b, _ = _unit_hpolygon(rng, int(rng.integers(3, 40)))
         expected = setcalc.sets._hpolygon_2d(A, b, ctx)[1]
-        s = 10.0 ** rng.uniform(-9.0, 6.0, len(b))
-        got = setcalc.sets._hpolygon_2d(A * s[:, None], b * s, ctx)[1]
-        assert len(got) == len(expected), trial
-        for vertex in expected:
-            assert np.min(np.max(np.abs(got - vertex), axis=1)) <= 1e-12 * max(1.0, np.abs(vertex).max()), trial
+        # Far out of that range too, where squares of the entries under- or overflow.
+        for s in (10.0 ** rng.uniform(-9.0, 6.0, len(b)), np.full(len(b), 1e-170), np.full(len(b), 1e170)):
+            bounded, got = setcalc.sets._hpolygon_2d(A * s[:, None], b * s, ctx)
+            assert bounded and len(got) == len(expected), trial
+            for vertex in expected:
+                assert np.min(np.max(np.abs(got - vertex), axis=1)) <= 1e-12 * max(1.0, np.abs(vertex).max()), trial
+    # The strip |y| <= 1 cut by x <= 1 is unbounded at every scale: its
+    # antiparallel normals make a gap of pi.
+    A, b = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]), np.ones(3)
+    for s in (1e-170, 1e-9, 1.0, 1e170):
+        bounded, got = setcalc.sets._hpolygon_2d(A * s, b * s, ctx)
+        assert not bounded and np.array_equal(got, [[1.0, -1.0], [1.0, 1.0]]), s
     # The triangle (0, 0), (5e-9, 0), (0, 5e-9) from normals with entries
     # 5e-9: their determinants are far below 1e-14, their sines are not.
     s = 5e-9

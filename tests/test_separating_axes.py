@@ -169,4 +169,8 @@ def test_membership_is_the_disjointness_of_the_point(k):
         inside = T.contains(p)
         assert inside == (not sc.is_disjoint(sc.VPolygon([p]), T))
         seen.add(inside)
+        # Far from the origin, where N . p rounds by more than atol |N|.
+        shift = np.array([1e8, -1e8])
+        far = T.translate(shift)
+        assert far.contains(p + shift) == (not sc.is_disjoint(sc.VPolygon([p + shift]), far))
     assert seen == {True, False}
