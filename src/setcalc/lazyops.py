@@ -24,12 +24,17 @@ and on the way up its support vectors fold in halves with the same powers.
 A reach chain ``X_k = Phi X_{k-1} + E`` is the recurrence
 ``rho(d, X_N) = rho((Phi^T)^N d, X_0) + sum_{i<N} rho((Phi^T)^i d, E)``
 (Girard, Le Guernic and Maler, HSCC 2006): one pair, about log2 N products,
-one call for every block of E, and one reshape-sum.  A union of the values
+one call of E for all its blocks, and one reshape-sum.  A union of the values
 after consecutive counts of one run's steps, such as the flowpipe
 ``Union(X_1, ..., X_T)``, is a prefix union, recorded at construction: it
 is the same pair with T tail blocks, and a running sum over E's answers
 gives every ``rho(d, X_k)`` in one pass (Le Guernic and Girard, NAHS 2010,
-Algorithm 1), where a pair per step would send E T(T+1)/2 blocks.  An exact
+Algorithm 1), where a pair per step would send E T(T+1)/2 blocks.  A run
+whose stack of blocks would reach 128 KiB goes in chunks that stay under it:
+each is the one before times M^K, the concrete operands answer each at once
+into running sums, and only the last goes down to the tail.  So the memory
+of a query does not grow with the length of a run, only with the operand
+count of a prefix union.  An exact
 support value over a lazy binary intersection has no composition rule;
 exact queries concretize 2-D intersections and refuse otherwise, while the
 explicit overapproximate mode returns the upper bound
@@ -589,11 +594,16 @@ def _evaluate(T, D, ctx, mode, want):
     of c steps by M makes the blocks S, S M, ..., S M^c by repeated
     squaring (:func:`_powers`); the steps' concrete operands get the first
     c as one stack, and the tail gets the last, or for a prefix union the
-    last T.  Any other node, and a node whose steps cannot be skipped,
+    last T.  A run whose blocks up to its first output would reach
+    ``_CHUNK_FLOATS`` floats goes in chunks (:func:`_chunks`): the concrete
+    operands answer every chunk but the last at once, into running sums,
+    and the last chunk goes down as a whole run would, so no stack grows
+    with c.  Any other node, and a node whose steps cannot be skipped,
     calls its kind's ``blocks`` rule on its stack.
 
     Leaves: each concrete set's pair, popped last, makes one
-    ``_support_batch`` call on its stack.
+    ``_support_batch`` call on its stack: one call per leaf and want, and
+    one more per earlier chunk of a run that has it as an operand.
 
     Up: in reverse order, a run pair adds to its tail's rows one
     ``reshape``-sum per concrete operand and the shifts ``B . b`` of its
@@ -601,8 +611,8 @@ def _evaluate(T, D, ctx, mode, want):
     with the powers of the way down (:func:`_run_combine`).  A prefix union
     adds running sums instead, one per output, and takes the first max
     over its T outputs, as its kind's rule would; each row's vector folds
-    the steps up to the output it took.  Any other node calls its
-    ``combine`` rule once.
+    the steps up to the output it took.  The earlier chunks' sums add last.
+    Any other node calls its ``combine`` rule once.
 
     No node above the heap's top has a pair or can get one, since all its
     parents are past; so no node is walked twice in one query, the walk is
@@ -649,11 +659,16 @@ def _evaluate(T, D, ctx, mode, want):
                 c, Y = (1, L.operands[0]) if P is X and (L is X or L._height > top) else (0, None)
                 first = c
         if c:
-            head, tails, powers = _powers(S, L.matrix, c, first)
-            sends = [(C, head) for i, C in enumerate(operands) if i != P._lazy]
-            sends.append((Y, tails))
+            concrete = [C for i, C in enumerate(operands) if i != P._lazy]
             shifts = [b for b in (P.vector, None if L is P else L.vector) if b is not None]
-            combine, X, cw = _run_combine, (c, first, head, powers, shifts), w
+            if first < 2 or (first + 1) * S.size < _CHUNK_FLOATS:
+                # One chunk: the run's blocks go down as one stack.
+                (head, tails, powers), carried = _powers(S, L.matrix, c, first), None
+            else:
+                head, tails, powers, c, first, carried = _chunks(S, L.matrix, c, first, concrete, shifts, ctx, w)
+            sends = [(C, head) for C in concrete]
+            sends.append((Y, tails))
+            combine, X, cw = _run_combine, (c, first, head, powers, shifts, carried), w
         else:
             split, combine = rules[X.kind]
             blocks, cw = split(X, S, w)
@@ -674,6 +689,66 @@ def _evaluate(T, D, ctx, mode, want):
     return root[3]
 
 
+# The floats a run's stack of blocks stays under: 128 KiB, the default mmap
+# threshold of glibc's malloc.  Each larger array is a fresh mmap whose pages
+# fault in anew, or else comes from a heap top the allocator trims between
+# queries; the answers to a stack and the fold of its vectors are as large.
+_CHUNK_FLOATS = 1 << 14
+
+
+def _chunks(S, M, c, first, concrete, shifts, ctx, want):
+    """A run pair of c steps by M from the block S, whose first output comes
+    after ``first`` steps (c for a plain run), in chunks.
+
+    A run is one chunk while first + 1 blocks of S's shape stay under
+    ``_CHUNK_FLOATS``, or if it has fewer than 2 steps to split; the caller
+    sends it down whole.  Beyond that its first ``first`` steps split into
+    the fewest balanced chunks of K steps whose K + 1 blocks stay under it,
+    or of one step if no chunk of 2 blocks does.  The first chunk comes
+    from :func:`_powers` and each later one is the one before times M^K, a
+    product of the powers on hand.  Each chunk but the last is answered
+    here, one call per concrete operand, into running sums: of values,
+    which every output counts alike, and with ``want`` of vectors folded
+    in halves and carried by the running (M^(jK))^T.  The last chunk runs
+    on to the tail and goes down as a whole run would, so a prefix union's
+    T tail blocks stay one stack, of at most T + K blocks.
+
+    Returns the last chunk as :func:`_powers` does (its steps' stack, the
+    stack from its first output on, and the powers), its c and ``first``,
+    and the sums carried from the earlier chunks: values, vectors and M^s
+    for the s steps before the last chunk."""
+    m, n = S.shape
+    q = -(-first // max(1, (_CHUNK_FLOATS - 1) // (m * n) - 1))
+    K = -(-first // q)
+    head, stack, powers = _powers(S, M, K, 0)
+    MK = functools.reduce(np.dot, [p for t, p in enumerate(powers) if K >> t & 1])
+    values = np.zeros(m)
+    vectors, P = (np.zeros((m, n)), np.eye(n)) if want else (None, None)
+    for j in range(q - 1):
+        if j:
+            stack = stack.dot(MK)
+            head = stack[: K * m]
+        answers = [C._support_batch(head, ctx, want) for C in concrete]
+        rows = [v for v, _ in answers] + [head.dot(b) for b in shifts]
+        if rows:
+            values += functools.reduce(np.add, rows).reshape(K, m).sum(axis=0)
+        if want:
+            U = np.zeros((K, m, n))
+            for _, W in answers:
+                U += W.reshape(K, m, n)
+            for b in shifts:
+                U += b
+            vectors += _fold_halves(U, powers).dot(P.T)
+            P = P.dot(MK)
+    done = (q - 1) * K
+    c, first, carried = c - done, first - done, (values, vectors, P)
+    if c > K:
+        # A prefix union whose tail blocks outnumber a chunk's.
+        return (*_powers(stack[K * m :], M, c, first), c, first, carried)
+    stack = stack[: (c + 1) * m].dot(MK)
+    return stack[: c * m], stack[first * m :], powers, c, first, carried
+
+
 def _powers(S, M, c, first):
     """The blocks S, S M, ..., S M^c of c maps by M, as the stack of the first
     c, the stack of those from S M^first on, and the powers M, M^2, M^4, ...
@@ -682,7 +757,8 @@ def _powers(S, M, c, first):
     Repeated squaring doubles a stack that starts [S; S M]: [S; ...; S M^3],
     [S; ...; S M^7], ..., so c maps cost ceil(log2(c+1)) products of 2-D
     stacks; the way up folds with the same powers.  One map whose last
-    block alone is wanted is one product."""
+    block alone is wanted is one product.  A run longer than one chunk
+    makes its first chunk here and the others from it (:func:`_chunks`)."""
     if c == first == 1:
         return S, S.dot(M), [M]
     m = len(S)
@@ -699,12 +775,26 @@ def _powers(S, M, c, first):
     return stack[: c * m], stack[first * m :], powers
 
 
+def _fold_halves(U, powers):
+    # sum_i U_i (M^T)^i over the entries of U, of shape (entries, m, n), in
+    # halves: U_i += U_(i+h) (M^h)^T for h = ..., 4, 2, 1, the powers of the
+    # way down below the entry count, each in one product of a 2-D stack.
+    length, n = len(U), U.shape[2]
+    for t in range(len(powers) - 1, -1, -1):
+        h = 1 << t
+        if h < length:
+            U[: length - h] += U[h:length].reshape(-1, n).dot(powers[t].T).reshape(length - h, -1, n)
+            length = h
+    return U[0]
+
+
 def _run_combine(run, S, results, want, ctx):
     # The up step of a run pair: ``results`` holds the rows of each concrete
-    # operand, stacked over the c steps, then the tail's rows, stacked over
-    # the outputs after k = first, ..., c steps.  A plain run has one output,
-    # k = c; a prefix union has one per operand and takes the first max.
-    c, first, head, powers, shifts = run
+    # operand, stacked over the c steps of the last chunk, then the tail's
+    # rows, stacked over the outputs after k = first, ..., c steps.  A plain
+    # run has one output, k = c; a prefix union has one per operand and
+    # takes the first max.  The earlier chunks' sums, if any, add last.
+    c, first, head, powers, shifts, carried = run
     m = len(S)
 
     def fold(rows):
@@ -727,16 +817,15 @@ def _run_combine(run, S, results, want, ctx):
         # The first max over the outputs, as the union's own rule takes it.
         taken = values.argmax(axis=0) if want else None
         values = np.maximum.reduce(values)
+    if carried is not None:
+        values = values + carried[0]
     if not want:
         return values, None
     # sigma(d, M Y + b) = M sigma(M^T d, Y) + b, and a sum adds each concrete
     # operand's vector at its block: the vector is sum_i U_i (M^T)^i, where
     # U_i adds what block i's operands and shifts answered and U_c is the
     # tail's.  A prefix union's row that takes the output after k steps
-    # keeps U_i for i < k only, with the tail's vector as U_k.  Folding in
-    # halves pairs the terms i and i + h, U_i += U_(i+h) (M^h)^T, for
-    # h = ..., 4, 2, 1: the powers of the way down, each in one product of
-    # a 2-D stack.
+    # keeps U_i for i < k only, with the tail's vector as U_k.
     n = V.shape[1]
     U = np.zeros((c + 1, m, n))
     for _, W in results[:-1]:
@@ -749,12 +838,8 @@ def _run_combine(run, S, results, want, ctx):
         rows = np.arange(m)
         U[np.arange(c + 1)[:, None] >= first + taken] = 0.0
         U[first + taken, rows] = V.reshape(c + 1 - first, m, n)[taken, rows]
-    length = c + 1
-    for t in range(len(powers) - 1, -1, -1):
-        h = 1 << t
-        U[: length - h] += U[h:length].reshape(-1, n).dot(powers[t].T).reshape(length - h, m, n)
-        length = h
-    return values, U[0]
+    vectors = _fold_halves(U, powers)
+    return values, (vectors if carried is None else vectors.dot(carried[2].T) + carried[1])
 
 
 def _rows(pair, block_id):

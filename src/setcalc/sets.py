@@ -618,7 +618,7 @@ class Zonotope(ConcreteSet):
             return Hyperrectangle(verts[0], np.zeros(2))._hrep(ctx)
         if len(verts) == 2:
             return _segment_hrep_2d(verts[0], verts[1])
-        return VPolygon(verts)._hrep(ctx)
+        return VPolygon._from_hull(verts)._hrep(ctx)
 
     def is_bounded(self, ctx=None) -> bool:
         return True

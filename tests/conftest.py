@@ -36,6 +36,24 @@ def hpolygon_calls(monkeypatch):
 
 
 @pytest.fixture
+def leaf_calls(monkeypatch):
+    """``(id(leaf), vectors, rows)`` for every ``_support_batch`` call a
+    concrete set answers while the test runs."""
+    calls = []
+    classes = [setcalc.sets.ConcreteSet]
+    for cls in classes:
+        classes.extend(sub for sub in cls.__subclasses__() if sub not in classes)
+    for cls in classes:
+        if "_support_batch" in vars(cls):
+            def counting(self, D, ctx, vectors, original=vars(cls)["_support_batch"]):
+                calls.append((id(self), vectors, len(D)))
+                return original(self, D, ctx, vectors)
+
+            monkeypatch.setattr(cls, "_support_batch", counting)
+    return calls
+
+
+@pytest.fixture
 def demo_polygon():
     """The seven-vertex demo polygon used across the docs."""
     return sc.VPolygon(

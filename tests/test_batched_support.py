@@ -253,20 +253,17 @@ def _reading(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", ["chain_200", "flowpipe_8", "alternating_200"])
-def test_one_leaf_call_per_leaf_and_want(monkeypatch, shape):
-    # Every block a leaf receives in one query is stacked into one call, also
-    # when no two equal steps follow one another.
-    calls = []
-    for cls in (sc.sets.AbstractHyperrectangle, sc.Zonotope):
-        def counting(self, D, ctx, vectors, original=cls._support_batch):
-            calls.append((id(self), vectors))
-            return original(self, D, ctx, vectors)
-
-        monkeypatch.setattr(cls, "_support_batch", counting)
+def test_one_leaf_call_per_leaf_and_want(leaf_calls, shape):
+    # Every block a leaf receives in one query is stacked into one call per
+    # chunk of its run, also when no two equal steps follow one another.  A
+    # run is one chunk while its c + 1 blocks stay below 2**14 floats; of
+    # these queries only the 200-step chain along the 64 directions of the
+    # template reaches that, and E answers it in 2 balanced chunks of 100
+    # steps.  Leaves called once per step would read 200 calls.
     other = _rotation(0.07, 0.98) if shape == "alternating_200" else None
     steps = _chain(8 if shape == "flowpipe_8" else 200, np.random.default_rng(7), other)
     tree = make_node("Union", steps[1:]) if shape == "flowpipe_8" else steps[-1]
-    leaves = {id(steps[0]), id(steps[1].operands[1])}
+    X0, E = id(steps[0]), id(steps[1].operands[1])
     D = np.array(sc.generate_directions(polar_template(16)))
     queries = {
         "template": (lambda: overapproximate_template(tree, polar_template(64)), {False}),
@@ -276,9 +273,13 @@ def test_one_leaf_call_per_leaf_and_want(monkeypatch, shape):
         "under": (lambda: sc.underapproximate(tree, list(D)), {True}),
     }
     for name, (query, wants) in queries.items():
-        calls.clear()
+        leaf_calls.clear()
         query()
-        assert sorted(calls) == sorted((leaf, w) for leaf in leaves for w in wants), name
+        chunks = 2 if (shape, name) == ("chain_200", "template") else 1
+        expected = [(X0, w) for w in wants] + [(E, w) for w in wants] * chunks
+        assert sorted(call[:2] for call in leaf_calls) == sorted(expected), name
+        if chunks > 1:
+            assert [rows for leaf, _, rows in leaf_calls if leaf == E] == [100 * 64] * 2
 
 
 def _shared_dags():
@@ -496,20 +497,13 @@ def test_segments_match_numpy_recurrence(n, base):
 
 
 @pytest.mark.parametrize("shape", ["flowpipe", "translated_steps"])
-def test_shared_steps_end_segments(monkeypatch, shape):
+def test_shared_steps_end_segments(monkeypatch, leaf_calls, shape):
     # Every step below the top is reached twice: from the union and from the
     # next step.  The flowpipe is a prefix union, one pair of the whole run:
     # T blocks of 16 rows reach E and T the initial set.  The translated
     # steps are not, so no pair skips one: T blocks reach the initial set
     # and T(T+1)/2 reach E, as in a walk node by node.  One leaf call per
     # (leaf, want) stays in both.
-    calls = []
-    for cls in (sc.sets.AbstractHyperrectangle, sc.Zonotope):
-        def counting(self, D, ctx, vectors, original=cls._support_batch):
-            calls.append((id(self), vectors, len(D)))
-            return original(self, D, ctx, vectors)
-
-        monkeypatch.setattr(cls, "_support_batch", counting)
     T = 30
     steps = _chain(T, np.random.default_rng(7))
     if shape == "flowpipe":
@@ -524,14 +518,14 @@ def test_shared_steps_end_segments(monkeypatch, shape):
     # than once per query would read them about once per step above it.
     reads = _reading(monkeypatch)
     for want in (False, True):
-        calls.clear()
+        leaf_calls.clear()
         reads.clear()
         tree.support_batch(D, vectors=want)
-        assert sorted(c[:2] for c in calls) == sorted((leaf, want) for leaf in leaves)
+        assert sorted(c[:2] for c in leaf_calls) == sorted((leaf, want) for leaf in leaves)
         if shape == "flowpipe":
-            assert sum(c[2] for c in calls) == 960 == 16 * 2 * T
+            assert sum(c[2] for c in leaf_calls) == 960 == 16 * 2 * T
         else:
-            assert sum(c[2] for c in calls) == 7920 == 16 * (T + T * (T + 1) // 2)
+            assert sum(c[2] for c in leaf_calls) == 7920 == 16 * (T + T * (T + 1) // 2)
         assert max(reads.values()) <= 4
 
 

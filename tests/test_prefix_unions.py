@@ -134,18 +134,6 @@ def test_ties_take_the_first_operand():
     assert values[4] == 0.0
 
 
-def _leaf_rows(monkeypatch):
-    # Rows each leaf call answers, in call order.
-    rows = []
-    for cls in (sc.sets.AbstractHyperrectangle, sc.Zonotope):
-        def counting(self, D, ctx, vectors, original=cls._support_batch):
-            rows.append(len(D))
-            return original(self, D, ctx, vectors)
-
-        monkeypatch.setattr(cls, "_support_batch", counting)
-    return rows
-
-
 def _not_prefix_shapes():
     # Leaf rows per query along 16 directions, as the walk of each union
     # operand on its own answers them.
@@ -180,17 +168,16 @@ def _not_prefix_shapes():
 
 
 @pytest.mark.parametrize("name", sorted(_not_prefix_shapes()))
-def test_other_unions_keep_their_answers_and_route(monkeypatch, name):
+def test_other_unions_keep_their_answers_and_route(leaf_calls, name):
     tree, expected_rows = _not_prefix_shapes()[name]
     assert not tree._prefix
-    rows = _leaf_rows(monkeypatch)
     D = np.array(sc.generate_directions(polar_template(16)))
     for mode in ("exact", "overapproximate"):
         for want in (False, True):
             part = 1 if want else 0
-            rows.clear()
+            leaf_calls.clear()
             got = _evaluate(tree, D, CTX, mode, want)[part]
-            assert sum(rows) == expected_rows
+            assert sum(rows for *_, rows in leaf_calls) == expected_rows
             reference = np.array([reference_support_pair(d, tree, CTX, mode, want)[part] for d in D])
             np.testing.assert_allclose(got, reference, rtol=RTOL, atol=RTOL)
 
@@ -223,7 +210,7 @@ def _flowpipe_recurrence(X0, E, phi, D, T):
     return values[1:].max(axis=0), vectors
 
 
-def test_long_flowpipe_answers_in_linear_rows(monkeypatch):
+def test_long_flowpipe_answers_in_linear_rows(leaf_calls):
     # T = 2000 steps: 2 T blocks of 32 rows, T to E and T to X_0, where a
     # walk of each step on its own would stack about T^2 / 2 blocks.
     T = 2000
@@ -233,16 +220,15 @@ def test_long_flowpipe_answers_in_linear_rows(monkeypatch):
     X0, E, phi = steps[0], steps[1].operands[1], steps[1].operands[0].matrix
     D = np.array(sc.generate_directions(polar_template(32)))
     values, vectors = _flowpipe_recurrence(X0, E, phi, D, T)
-    rows = _leaf_rows(monkeypatch)
     for want in (False, True):
-        rows.clear()
+        leaf_calls.clear()
         got = tree.support_batch(D, vectors=want)
-        assert sorted(rows) == [T * 32, T * 32]
+        assert sorted(rows for *_, rows in leaf_calls) == [T * 32, T * 32]
         np.testing.assert_allclose(got[0], values, rtol=1e-9)
     np.testing.assert_allclose(got[1], vectors, rtol=1e-9, atol=1e-12)
 
 
-def test_parsed_flowpipe_is_a_prefix_union(monkeypatch):
+def test_parsed_flowpipe_is_a_prefix_union(leaf_calls):
     # A document's lazy nodes come back unshared, but its leaves shared, so
     # run summaries make the parsed flowpipe a prefix union all the same.
     T = 64
@@ -251,12 +237,11 @@ def test_parsed_flowpipe_is_a_prefix_union(monkeypatch):
     parsed = parse_doc(serialize_doc(tree))
     assert parsed._prefix and parsed.operands[-2] is not parsed.operands[-1].operands[0].operands[0]
     D = np.array(sc.generate_directions(polar_template(16)))
-    rows = _leaf_rows(monkeypatch)
     for want in (False, True):
         expected = tree.support_batch(D, vectors=want)
-        rows.clear()
+        leaf_calls.clear()
         got = parsed.support_batch(D, vectors=want)
-        assert sorted(rows) == [T * 16, T * 16]
+        assert sorted(rows for *_, rows in leaf_calls) == [T * 16, T * 16]
         np.testing.assert_array_equal(got[0], expected[0])
         if want:
             np.testing.assert_array_equal(got[1], expected[1])
