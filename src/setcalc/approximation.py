@@ -190,7 +190,7 @@ def overapproximate_eps_2d(X: ConvexSet, eps: float, ctx: ToleranceContext | Non
     the Hausdorff distance.
     """
     eps = float(eps)
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN too
         raise ValueError("eps must be positive")
     if X.dim != 2:
         raise UnsupportedOperationError("eps-close approximation is only implemented in 2-D")

@@ -259,9 +259,6 @@ def cmd_overapprox(args) -> int:
     if (args.template is None) == (args.eps is None):
         raise DocumentError("choose exactly one of --template and --eps")
     if args.eps is not None:
-        if args.eps <= 0:
-            print("error: --eps must be positive", file=sys.stderr)
-            return EXIT_BAD_ARGS
         result = approximation.overapproximate_eps_2d(tree, args.eps)
         rows = result.vertices_list()
     else:

@@ -226,7 +226,8 @@ def _tested_points(A, b, tests, V, reach, ctx) -> np.ndarray:
     """The intersections of the unit row pairs ``(i, j)`` of ``tests``
     (i < j) that pass the membership test.  ``tests[i, j] = (t, rows)``:
     within ``reach`` of vertex ``V[t]`` only those rows can reject the point;
-    farther away, every row is tested."""
+    farther away, every row is tested, in blocks of about 2^18 row tests, so
+    memory stays bounded when many candidates are far."""
     (i, j), (t, rows) = np.array(list(tests)).T, zip(*tests.values())
     ax, ay = A[:, 0], A[:, 1]
     det = ax[i] * ay[j] - ay[i] * ax[j]
@@ -236,7 +237,12 @@ def _tested_points(A, b, tests, V, reach, ctx) -> np.ndarray:
     P, t, rows = P[keep], np.array(t)[keep], [r for r, k in zip(rows, keep) if k]
     ok = _pass_all(P, A, b, rows, ctx)
     far = np.flatnonzero(ok & (np.abs(P - V[t]).sum(axis=1) >= reach))
-    ok[far] = _pass_all(P[far], A, b, [range(len(b))] * len(far), ctx)
+    step = max(1, (1 << 18) // len(b))  # far points per block: about 2^18 row tests at a time
+    for s in range(0, len(far), step):
+        k = far[s : s + step]
+        Q = P[k]
+        slack = 10.0 * ctx.atol + 16.0 * _EPS * np.hypot(Q[:, 0], Q[:, 1])
+        ok[k] = (Q[:, :1] * A[:, 0] + Q[:, 1:] * A[:, 1] <= b + slack[:, None]).all(axis=1)
     return P[ok]
 
 

@@ -31,8 +31,9 @@ is the same pair with T tail blocks, and a running sum over E's answers
 gives every ``rho(d, X_k)`` in one pass (Le Guernic and Girard, NAHS 2010,
 Algorithm 1), where a pair per step would send E T(T+1)/2 blocks.  A run
 whose stack of blocks would reach 128 KiB goes in chunks that stay under it:
-each is the one before times M^K, the concrete operands answer each at once
-into running sums, and only the last goes down to the tail.  So the memory
+each comes by the same squaring from the last block of the one before, each
+but the last is answered at once and folded like a run into running sums,
+and only the last goes down to the tail.  So the memory
 of a query does not grow with the length of a run, only with the operand
 count of a prefix union.  An exact
 support value over a lazy binary intersection has no composition rule;
@@ -595,11 +596,12 @@ def _evaluate(T, D, ctx, mode, want):
     squaring (:func:`_powers`); the steps' concrete operands get the first
     c as one stack, and the tail gets the last, or for a prefix union the
     last T.  A run whose blocks up to its first output would reach
-    ``_CHUNK_FLOATS`` floats goes in chunks (:func:`_chunks`): the concrete
-    operands answer every chunk but the last at once, into running sums,
-    and the last chunk goes down as a whole run would, so no stack grows
-    with c.  Any other node, and a node whose steps cannot be skipped,
-    calls its kind's ``blocks`` rule on its stack.
+    ``_CHUNK_FLOATS`` floats goes in chunks, each from :func:`_powers` on
+    the last block of the one before: the concrete operands answer every
+    chunk but the last at once, and :func:`_run_combine` folds it, with a
+    zero tail, into running sums; the last chunk goes down as a whole run
+    would, so no stack grows with c.  Any other node, and a node whose
+    steps cannot be skipped, calls its kind's ``blocks`` rule on its stack.
 
     Leaves: each concrete set's pair, popped last, makes one
     ``_support_batch`` call on its stack: one call per leaf and want, and
@@ -661,11 +663,26 @@ def _evaluate(T, D, ctx, mode, want):
         if c:
             concrete = [C for i, C in enumerate(operands) if i != P._lazy]
             shifts = [b for b in (P.vector, None if L is P else L.vector) if b is not None]
-            if first < 2 or (first + 1) * S.size < _CHUNK_FLOATS:
-                # One chunk: the run's blocks go down as one stack.
-                (head, tails, powers), carried = _powers(S, L.matrix, c, first), None
-            else:
-                head, tails, powers, c, first, carried = _chunks(S, L.matrix, c, first, concrete, shifts, ctx, w)
+            carried = None
+            if first > 1 and (first + 1) * S.size >= _CHUNK_FLOATS:
+                # The fewest balanced chunks of K steps up to the first output
+                # whose K + 1 blocks stay under the budget, or of one step if no
+                # 2 blocks do.  Each chunk but the last is answered here, one call
+                # per concrete operand, and folds with a zero tail into the sums
+                # carried: values, vectors, and M^(jK) after j chunks.
+                q = -(-first // max(1, (_CHUNK_FLOATS - 1) // S.size - 1))
+                K = -(-first // q)
+                for _ in range(q - 1):
+                    head, S, powers = _powers(S, L.matrix, K, K)
+                    results = [C._support_batch(head, ctx, w) for C in concrete]
+                    results.append((np.zeros(len(S)), np.zeros(S.shape) if w else None))
+                    values, vectors = _run_combine((K, K, head, powers, shifts, carried), S, results, w, ctx)
+                    # M^(jK) carries vectors only: a values query skips it.
+                    MK = functools.reduce(np.dot, [p for t, p in enumerate(powers) if K >> t & 1]) if w else None
+                    carried = (values, vectors, MK if carried is None or not w else carried[2].dot(MK))
+                # The last chunk starts from a copy, which frees the stacks before it.
+                c, first, S = c - (q - 1) * K, first - (q - 1) * K, S.copy()
+            head, tails, powers = _powers(S, L.matrix, c, first)
             sends = [(C, head) for C in concrete]
             sends.append((Y, tails))
             combine, X, cw = _run_combine, (c, first, head, powers, shifts, carried), w
@@ -696,59 +713,6 @@ def _evaluate(T, D, ctx, mode, want):
 _CHUNK_FLOATS = 1 << 14
 
 
-def _chunks(S, M, c, first, concrete, shifts, ctx, want):
-    """A run pair of c steps by M from the block S, whose first output comes
-    after ``first`` steps (c for a plain run), in chunks.
-
-    A run is one chunk while first + 1 blocks of S's shape stay under
-    ``_CHUNK_FLOATS``, or if it has fewer than 2 steps to split; the caller
-    sends it down whole.  Beyond that its first ``first`` steps split into
-    the fewest balanced chunks of K steps whose K + 1 blocks stay under it,
-    or of one step if no chunk of 2 blocks does.  The first chunk comes
-    from :func:`_powers` and each later one is the one before times M^K, a
-    product of the powers on hand.  Each chunk but the last is answered
-    here, one call per concrete operand, into running sums: of values,
-    which every output counts alike, and with ``want`` of vectors folded
-    in halves and carried by the running (M^(jK))^T.  The last chunk runs
-    on to the tail and goes down as a whole run would, so a prefix union's
-    T tail blocks stay one stack, of at most T + K blocks.
-
-    Returns the last chunk as :func:`_powers` does (its steps' stack, the
-    stack from its first output on, and the powers), its c and ``first``,
-    and the sums carried from the earlier chunks: values, vectors and M^s
-    for the s steps before the last chunk."""
-    m, n = S.shape
-    q = -(-first // max(1, (_CHUNK_FLOATS - 1) // (m * n) - 1))
-    K = -(-first // q)
-    head, stack, powers = _powers(S, M, K, 0)
-    MK = functools.reduce(np.dot, [p for t, p in enumerate(powers) if K >> t & 1])
-    values = np.zeros(m)
-    vectors, P = (np.zeros((m, n)), np.eye(n)) if want else (None, None)
-    for j in range(q - 1):
-        if j:
-            stack = stack.dot(MK)
-            head = stack[: K * m]
-        answers = [C._support_batch(head, ctx, want) for C in concrete]
-        rows = [v for v, _ in answers] + [head.dot(b) for b in shifts]
-        if rows:
-            values += functools.reduce(np.add, rows).reshape(K, m).sum(axis=0)
-        if want:
-            U = np.zeros((K, m, n))
-            for _, W in answers:
-                U += W.reshape(K, m, n)
-            for b in shifts:
-                U += b
-            vectors += _fold_halves(U, powers).dot(P.T)
-            P = P.dot(MK)
-    done = (q - 1) * K
-    c, first, carried = c - done, first - done, (values, vectors, P)
-    if c > K:
-        # A prefix union whose tail blocks outnumber a chunk's.
-        return (*_powers(stack[K * m :], M, c, first), c, first, carried)
-    stack = stack[: (c + 1) * m].dot(MK)
-    return stack[: c * m], stack[first * m :], powers, c, first, carried
-
-
 def _powers(S, M, c, first):
     """The blocks S, S M, ..., S M^c of c maps by M, as the stack of the first
     c, the stack of those from S M^first on, and the powers M, M^2, M^4, ...
@@ -757,8 +721,9 @@ def _powers(S, M, c, first):
     Repeated squaring doubles a stack that starts [S; S M]: [S; ...; S M^3],
     [S; ...; S M^7], ..., so c maps cost ceil(log2(c+1)) products of 2-D
     stacks; the way up folds with the same powers.  One map whose last
-    block alone is wanted is one product.  A run longer than one chunk
-    makes its first chunk here and the others from it (:func:`_chunks`)."""
+    block alone is wanted is one product.  Every chunk of a run longer
+    than one comes from here too, started from the last block of the one
+    before."""
     if c == first == 1:
         return S, S.dot(M), [M]
     m = len(S)
@@ -775,25 +740,14 @@ def _powers(S, M, c, first):
     return stack[: c * m], stack[first * m :], powers
 
 
-def _fold_halves(U, powers):
-    # sum_i U_i (M^T)^i over the entries of U, of shape (entries, m, n), in
-    # halves: U_i += U_(i+h) (M^h)^T for h = ..., 4, 2, 1, the powers of the
-    # way down below the entry count, each in one product of a 2-D stack.
-    length, n = len(U), U.shape[2]
-    for t in range(len(powers) - 1, -1, -1):
-        h = 1 << t
-        if h < length:
-            U[: length - h] += U[h:length].reshape(-1, n).dot(powers[t].T).reshape(length - h, -1, n)
-            length = h
-    return U[0]
-
-
 def _run_combine(run, S, results, want, ctx):
-    # The up step of a run pair: ``results`` holds the rows of each concrete
-    # operand, stacked over the c steps of the last chunk, then the tail's
-    # rows, stacked over the outputs after k = first, ..., c steps.  A plain
-    # run has one output, k = c; a prefix union has one per operand and
-    # takes the first max.  The earlier chunks' sums, if any, add last.
+    # The up step of a run pair, and the fold of each of its earlier chunks
+    # (with a zero tail): ``results`` holds the rows of each concrete operand,
+    # stacked over the c steps of the chunk, then the tail's rows, stacked
+    # over the outputs after k = first, ..., c steps.  A plain run has one
+    # output, k = c; a prefix union has one per operand and takes the first
+    # max.  The sums carried from the chunks before, if any, add last: values,
+    # vectors, and M^s for the s steps they took.
     c, first, head, powers, shifts, carried = run
     m = len(S)
 
@@ -825,7 +779,10 @@ def _run_combine(run, S, results, want, ctx):
     # operand's vector at its block: the vector is sum_i U_i (M^T)^i, where
     # U_i adds what block i's operands and shifts answered and U_c is the
     # tail's.  A prefix union's row that takes the output after k steps
-    # keeps U_i for i < k only, with the tail's vector as U_k.
+    # keeps U_i for i < k only, with the tail's vector as U_k.  Folding in
+    # halves pairs the terms i and i + h, U_i += U_(i+h) (M^h)^T, for
+    # h = ..., 4, 2, 1: the powers of the way down, each in one product of
+    # a 2-D stack.
     n = V.shape[1]
     U = np.zeros((c + 1, m, n))
     for _, W in results[:-1]:
@@ -838,8 +795,12 @@ def _run_combine(run, S, results, want, ctx):
         rows = np.arange(m)
         U[np.arange(c + 1)[:, None] >= first + taken] = 0.0
         U[first + taken, rows] = V.reshape(c + 1 - first, m, n)[taken, rows]
-    vectors = _fold_halves(U, powers)
-    return values, (vectors if carried is None else vectors.dot(carried[2].T) + carried[1])
+    length = c + 1
+    for t in range(len(powers) - 1, -1, -1):
+        h = 1 << t
+        U[: length - h] += U[h:length].reshape(-1, n).dot(powers[t].T).reshape(length - h, m, n)
+        length = h
+    return values, (U[0] if carried is None else U[0].dot(carried[2].T) + carried[1])
 
 
 def _rows(pair, block_id):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,22 @@ def leaf_calls(monkeypatch):
 
             monkeypatch.setattr(cls, "_support_batch", counting)
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call, *args, **kwargs)``: what the call returns and the
+    peak, in bytes, of the memory tracemalloc traced while it ran."""
+
+    def run(call, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = call(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run
 
 
 @pytest.fixture

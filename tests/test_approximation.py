@@ -301,6 +301,9 @@ def test_eps_close_matches_the_pair_by_pair_loop():
 def test_eps_close_validation(demo_polygon):
     with pytest.raises(ValueError):
         overapproximate_eps_2d(demo_polygon, 0.0)
+    # NaN fails every comparison: it must not read as positive and bisect to the cap.
+    with pytest.raises(ValueError, match="eps must be positive"):
+        overapproximate_eps_2d(demo_polygon, math.nan)
     with pytest.raises(UnsupportedOperationError):
         overapproximate_eps_2d(sc.BallInf(np.zeros(3), 1.0), 0.1)
 

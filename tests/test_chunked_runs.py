@@ -8,8 +8,6 @@ each chunk in one call.  Answers are checked against the numpy recurrence
 time, to 1e-12 relative, fixed before running; memory by tracemalloc.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -152,7 +150,7 @@ def test_blocks_over_half_the_budget_go_one_step_a_chunk(leaf_calls, form):
                                    rtol=RTOL, atol=RTOL)
 
 
-def test_query_memory_does_not_grow_with_the_horizon():
+def test_query_memory_does_not_grow_with_the_horizon(traced_peak):
     # The temporaries of one query stay below 1 MB at 2,000 and at 20,000
     # steps: a values query along the 64 directions of a polar template and
     # a vector query along 16.  Whole stacks would take 5.9 and 59 MB.
@@ -167,12 +165,7 @@ def test_query_memory_does_not_grow_with_the_horizon():
         expected = _recurrence(steps[0], step, D, {2_000, 20_000})
         for N in (2_000, 20_000):
             steps[N].support_batch(D, vectors=want)
-            tracemalloc.start()
-            try:
-                values, vectors = steps[N].support_batch(D, vectors=want)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            (values, vectors), peak = traced_peak(steps[N].support_batch, D, vectors=want)
             assert peak <= 1 << 20, (N, rows, peak)
             np.testing.assert_allclose(values, expected[N][0], rtol=RTOL, atol=RTOL)
             if want:

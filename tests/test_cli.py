@@ -244,6 +244,7 @@ def test_cmd_overapprox_eps_roundtrip(tmp_path, capsys):
 def test_cmd_overapprox_bad_eps(tmp_path):
     doc = _write(tmp_path, "poly.json", POLYGON_DOC)
     assert main(["overapprox", "--doc", doc, "--eps", "-0.5"]) == 2
+    assert main(["overapprox", "--doc", doc, "--eps", "nan"]) == 2
     assert main(["overapprox", "--doc", doc]) == 2
     assert main(["overapprox", "--doc", doc, "--template", "oct", "--eps", "0.1"]) == 2
 

@@ -173,6 +173,11 @@ def _reference_suite(rng, ctx):
             A[np.all(A == 0.0, axis=1)] = [1.0, 0.0]
         order = rng.permutation(len(b))
         yield A[order], b[order]
+    # Two nearly parallel rows pass near the top corners of a square and meet
+    # at (L, 0), far from both: a row that is not near the corner whose group
+    # tested them, x >= -1 for L = -500, must reject that intersection.
+    for L in (-500.0, 500.0):
+        yield np.array([[0.0, 1.0], [-1e-9, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]]), np.array([0.0, -1e-9 * L, 1, 1, 1])
 
 
 def test_hpolygon_kernel_is_bit_identical_to_the_pairwise_reference():
@@ -297,6 +302,22 @@ def test_tovrep_2048_redundant_constraints_is_fast_and_solves_no_lp(lp_calls):
     assert P.num_vertices == 16 and np.allclose(np.sort(P.vertices, axis=0), np.sort(V, axis=0))
     assert elapsed < 0.2, elapsed
     assert len(lp_calls) == 0
+
+
+def test_tovrep_random_tangents_of_a_circle_match_qhull_in_bounded_memory(traced_peak):
+    # 2048 random tangents of the unit circle: most vertices are crowded, so
+    # many candidates lie far from their vertex and are tested against every
+    # row.  In blocks, the conversion traces a few MB; one block took 64 MB.
+    spatial = pytest.importorskip("scipy.spatial")
+    rng = np.random.default_rng(4096)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 2048)
+    A, b = np.column_stack((np.cos(theta), np.sin(theta))), np.ones(2048)
+    P, peak = traced_peak(sc.tovrep, sc.HPolytope._from_arrays(A, b))
+    assert peak < 16 << 20, peak
+    qhull = spatial.HalfspaceIntersection(np.column_stack((A, -b)), np.zeros(2)).intersections
+    D = np.array(sc.generate_directions(sc.polar_template(256)))
+    # Vertices may sit up to the 10 atol membership slack outside each row.
+    np.testing.assert_allclose(P.support_batch(D)[0], np.max(D @ qhull.T, axis=1), rtol=0.0, atol=2e-7)
 
 
 def _highs_bounded(A, b):
