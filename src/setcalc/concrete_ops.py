@@ -78,23 +78,22 @@ def _as_zonotope(X: ConcreteSet) -> Zonotope:
     raise UnsupportedOperationError(f"{type(X).__name__} is not a zonotope kind")
 
 
-def _bottom_index(vertices: np.ndarray) -> int:
-    order = np.lexsort((vertices[:, 0], vertices[:, 1]))
-    return int(order[0])
-
-
-def _edge_angles(vertices: np.ndarray) -> np.ndarray:
-    edges = np.roll(vertices, -1, axis=0) - vertices
-    return np.mod(np.arctan2(edges[:, 1], edges[:, 0]), 2.0 * math.pi)
+def _bottom_edges(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bottom-most vertex of the cycle V and its edges from there on."""
+    k = np.lexsort((V[:, 0], V[:, 1]))[0]
+    A = np.concatenate((V[k:], V[: k + 1]))
+    return A[0], A[1:] - A[:-1]
 
 
 def _polygon_minkowski(P: VPolygon, Q: VPolygon, ctx: ToleranceContext) -> VPolygon:
     """Counter-clockwise edge merge of two convex polygons.
 
-    Both vertex cycles are rotated to start at their bottom-most point so
-    edge angles increase monotonically in [0, 2pi); the sum polygon is then
-    traced by merging the two edge sequences by angle.  Parallel edges are
-    fused, and the final canonicalization absorbs collinear leftovers.
+    Both edge cycles start at their bottom-most vertex, so their angles
+    increase in [0, 2pi); one stable sort of all the edges by angle, P's
+    first, merges them.  The vertices are the running sum of the merged
+    edges from the sum of the two bottom vertices, where a P edge and a Q
+    edge next in that order fuse into one step when their angles are within
+    1e-9.  The final canonicalization absorbs collinear leftovers.
     """
     if P.num_vertices == 0 or Q.num_vertices == 0:
         return VPolygon([])
@@ -102,43 +101,20 @@ def _polygon_minkowski(P: VPolygon, Q: VPolygon, ctx: ToleranceContext) -> VPoly
         return Q.translate(P.vertices[0])
     if Q.num_vertices == 1:
         return P.translate(Q.vertices[0])
-
-    def cycle(V):
-        k = _bottom_index(V)
-        return np.roll(V, -k, axis=0)
-
-    A = cycle(P.vertices)
-    B = cycle(Q.vertices)
-    ea = np.roll(A, -1, axis=0) - A
-    eb = np.roll(B, -1, axis=0) - B
-    ta = _edge_angles(A)
-    tb = _edge_angles(B)
-    na, nb = len(A), len(B)
-    angle_eps = 1e-9
-
-    point = A[0] + B[0]
-    points = [point]
-    i = j = 0
-    while i < na or j < nb:
-        if i >= na:
-            step = eb[j]
-            j += 1
-        elif j >= nb:
-            step = ea[i]
-            i += 1
-        elif abs(ta[i] - tb[j]) <= angle_eps:
-            step = ea[i] + eb[j]
-            i += 1
-            j += 1
-        elif ta[i] < tb[j]:
-            step = ea[i]
-            i += 1
-        else:
-            step = eb[j]
-            j += 1
-        point = point + step
-        points.append(point)
-    return VPolygon(points[:-1])
+    (a0, ea), (b0, eb) = _bottom_edges(P.vertices), _bottom_edges(Q.vertices)
+    edges = np.concatenate((ea, eb))
+    angles = np.mod(np.arctan2(edges[:, 1], edges[:, 0]), 2.0 * math.pi)
+    order = np.argsort(angles, kind="stable")
+    t, from_p = angles[order], order < len(ea)
+    # fused[k]: sorted edges k and k + 1 make one step.  Of a run of such
+    # pairs only the first fuses, so a step never holds two edges of one
+    # polygon.
+    fused = (from_p[1:] != from_p[:-1]) & (t[1:] - t[:-1] <= 1e-9)
+    fused[1:] &= ~fused[:-1]
+    # The start point, then the steps; the last step closes the cycle.
+    steps = np.concatenate(((a0 + b0)[None], edges[order]))
+    steps = np.add.reduceat(steps, np.flatnonzero(np.concatenate(([True, True], ~fused))))
+    return VPolygon(np.add.accumulate(steps[:-1]))
 
 
 def _to_polygon(X: ConcreteSet, ctx: ToleranceContext) -> VPolygon:
@@ -152,8 +128,14 @@ def _to_polygon(X: ConcreteSet, ctx: ToleranceContext) -> VPolygon:
     return VPolygon(X.vertices_list(ctx))
 
 
+# The kinds that are polytopes where bounded, and polygons in 2-D.
+_POLYGONAL = (HPolyhedron, VPolygon, VPolytope, AbstractHyperrectangle, Zonotope)
+
+
 def minkowski_sum(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
-    """X + Y pointwise, for box, zonotope, and 2-D polygon pairs."""
+    """X + Y pointwise: boxes stay boxes, zonotope pairs stay zonotopes, and
+    any other pair of 2-D polytopes is summed as two polygons (an unbounded
+    H-polyhedron raises ``UnboundedSetError``)."""
     _require_same_dim(X, Y)
     if isinstance(X, AbstractHyperrectangle) and isinstance(Y, AbstractHyperrectangle):
         if isinstance(X, Interval) and isinstance(Y, Interval):
@@ -163,8 +145,8 @@ def minkowski_sum(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None =
     if isinstance(X, zono_kinds) and isinstance(Y, zono_kinds):
         ZX, ZY = _as_zonotope(X), _as_zonotope(Y)
         return Zonotope(ZX.center + ZY.center, np.hstack([ZX.generators, ZY.generators]))
-    if isinstance(X, VPolygon) and isinstance(Y, VPolygon):
-        return _polygon_minkowski(X, Y, ctx)
+    if X.dim == 2 and isinstance(X, _POLYGONAL) and isinstance(Y, _POLYGONAL):
+        return _polygon_minkowski(_to_polygon(X, ctx), _to_polygon(Y, ctx), ctx)
     raise UnsupportedOperationError(
         f"minkowski_sum is not implemented for {type(X).__name__} and {type(Y).__name__}"
     )
@@ -388,8 +370,6 @@ def is_subset(X: ConvexSet, Y: ConcreteSet, ctx: ToleranceContext | None = None)
     values, _ = X.support_batch(A, ctx)
     return bool(np.all(within(values, b, A, ctx)))
 
-
-_POLYGONAL = (HPolyhedron, VPolygon, VPolytope, AbstractHyperrectangle, Zonotope)
 
 
 def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:

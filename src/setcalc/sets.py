@@ -976,9 +976,9 @@ class VPolygon(ConcreteSet):
         k = self.num_vertices
         if k < 3:
             return 0.0
-        x = self.vertices[:, 0]
-        y = self.vertices[:, 1]
-        return 0.5 * float(np.abs(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+        V = self.vertices
+        (x, y), (x1, y1) = V.T, np.concatenate((V[1:], V[:1])).T
+        return 0.5 * float(np.abs(np.sum(x * y1 - x1 * y)))
 
 
 class VPolytope(ConcreteSet):

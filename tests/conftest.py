@@ -38,6 +38,20 @@ def hpolygon_calls(monkeypatch):
 
 
 @pytest.fixture
+def hull_calls(monkeypatch):
+    """The list of every 2-D vertex hull the library takes while the test
+    runs, as the number of points it was given."""
+    calls = []
+
+    def counting(points, eps=None, hull=setcalc.sets._convex_hull_2d):
+        calls.append(len(points))
+        return hull(points, eps)
+
+    monkeypatch.setattr(setcalc.sets, "_convex_hull_2d", counting)
+    return calls
+
+
+@pytest.fixture
 def leaf_calls(monkeypatch):
     """``(id(leaf), vectors, rows)`` for every ``_support_batch`` call a
     concrete set answers while the test runs."""

@@ -5,8 +5,9 @@ import pytest
 
 import setcalc as sc
 from setcalc import SingleEntryVector
-from setcalc.errors import DimensionMismatchError, UnsupportedOperationError
+from setcalc.errors import DimensionMismatchError, UnboundedSetError, UnsupportedOperationError
 from conftest import random_box_2d, random_polygon, random_unit_direction, random_zonotope_2d
+from minkowski_reference import reference_polygon_minkowski
 
 
 def test_minkowski_sum_boxes():
@@ -71,6 +72,91 @@ def test_minkowski_support_additivity():
             lhs = sc.support_function(d, S)
             rhs = sc.support_function(d, X) + sc.support_function(d, Y)
             assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+def _near_tie_polygon():
+    # The vertex (100, 0) stays (it is 2.5e-8 off the chord past it), and
+    # the two bottom edges meet at an angle of 5e-10 rad.
+    return sc.VPolygon([[0.0, 0.0], [100.0, 0.0], [200.0, 5e-8], [100.0, 50.0]])
+
+
+def _triangle(angle):
+    """A triangle whose bottom edge lies at ``angle`` rad."""
+    return sc.VPolygon([[0.0, 0.0], [10.0 * math.cos(angle), 10.0 * math.sin(angle)], [0.0, 5.0]])
+
+
+def test_polygon_minkowski_matches_the_merge_loop_bit_for_bit():
+    assert [100.0, 0.0] in _near_tie_polygon().vertices.tolist()
+    rng = np.random.default_rng(26)
+    makers = (
+        lambda: random_polygon(rng, 1.0, 12),
+        lambda: _octagon_polygon(rng),
+        lambda: sc.VPolygon(rng.uniform(-1.0, 1.0, (2, 2))),
+        lambda: sc.VPolygon(rng.uniform(-1.0, 1.0, (1, 2))),
+        lambda: sc.VPolygon([]),
+        _near_tie_polygon,
+        # Between the near-tie polygon's bottom edges: fuses with the first.
+        lambda: _triangle(3e-10),
+    )
+    ctx = sc.ToleranceContext()
+    for trial in range(600):
+        scale = 10.0 ** rng.integers(-6, 9)
+        P, Q = (makers[k]() for k in rng.choice(len(makers), 2, p=[0.4, 0.2, 0.12, 0.08, 0.05, 0.1, 0.05]))
+        P, Q = sc.VPolygon(P.vertices * scale), sc.VPolygon(Q.vertices * scale)
+        out = sc.concrete_ops._polygon_minkowski(P, Q, ctx).vertices
+        assert np.array_equal(out, reference_polygon_minkowski(P, Q, ctx).vertices)
+
+
+def test_polygon_minkowski_fuses_an_edge_with_its_neighbour_in_angle_order():
+    # The triangle's bottom edge is within 1e-9 rad of both bottom edges of
+    # the near-tie polygon, and past both.  The merge loop fused it with the
+    # first of them; the sort fuses it with the second, its neighbour in
+    # angle order, and so keeps the vertex (100, 0) of the exact sum.
+    # Either way the result is the sum to within atol.
+    P, Q = _near_tie_polygon(), _triangle(7e-10)
+    exact = sc.VPolygon([p + q for p in P.vertices for q in Q.vertices])
+    D = np.column_stack((np.cos(np.linspace(0, 2 * math.pi, 64)), np.sin(np.linspace(0, 2 * math.pi, 64))))
+    for X, Y in ((P, Q), (Q, P)):
+        out = sc.minkowski_sum(X, Y)
+        assert [100.0, 0.0] in out.vertices.tolist()
+        assert np.allclose(out.support_batch(D)[0], exact.support_batch(D)[0], rtol=0.0, atol=1e-8)
+
+
+def test_minkowski_sum_of_mixed_2d_pairs(demo_polygon):
+    # A polygon with a box, a zonotope, a bounded H-polyhedron or a 2-D
+    # V-polytope sums in either order, as the lazy sum concretizes.
+    Z = sc.Zonotope([0.5, -1.0], [[1.0, 0.3, -0.2], [0.1, 0.8, 0.6]])
+    others = (
+        sc.Hyperrectangle([1.0, 2.0], [0.5, 0.25]),
+        Z,
+        sc.HPolytope(Z.constraints_list()),
+        sc.HPolyhedron(Z.constraints_list()),
+        sc.VPolytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]]),
+    )
+    for X in others:
+        expected = sc.VPolygon([p + q for p in demo_polygon.vertices for q in X.vertices_list()])
+        for A, B in ((demo_polygon, X), (X, demo_polygon)):
+            out = sc.minkowski_sum(A, B)
+            assert isinstance(out, sc.VPolygon)
+            assert out.num_vertices == expected.num_vertices
+            assert np.allclose(out.vertices, expected.vertices, atol=1e-9)
+            assert out == sc.concretize(sc.make_node("MinkowskiSum", [A, B]))
+    for X, error in (
+        (sc.HalfSpace([1.0, 0.0], 1.0), UnsupportedOperationError),
+        (sc.HPolyhedron([sc.HalfSpace([1.0, 0.0], 1.0)]), UnboundedSetError),
+    ):
+        for A, B in ((demo_polygon, X), (X, demo_polygon)):
+            with pytest.raises(error):
+                sc.minkowski_sum(A, B)
+
+
+def test_polygon_sum_takes_one_hull(hull_calls):
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        P, Q = random_polygon(rng), _octagon_polygon(rng)
+        del hull_calls[:]
+        sc.minkowski_sum(P, Q)
+        assert len(hull_calls) == 1 and hull_calls[0] <= P.num_vertices + Q.num_vertices
 
 
 def test_intersection_halfspaces():

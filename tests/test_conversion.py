@@ -137,17 +137,14 @@ def test_box_to_polygon_2d():
     assert sc.is_equivalent(convert_to(sc.HPolytope, box), box)
 
 
-def test_2d_zonotope_h_representation_hulls_once(monkeypatch):
+def test_2d_zonotope_h_representation_hulls_once(hull_calls):
     # The vertex list of a 2-D zonotope comes out of one _convex_hull_2d, so
     # its H-representation takes no second hull: through tohrep, and through
     # its own constraint rows (which a lazy intersection's operand reads).
     Z = sc.Zonotope([0.5, -1.0], [[1.0, 0.3, -0.2, 0.0], [0.1, 0.8, 0.6, 0.4]])
     expected = sc.VPolygon(Z.vertices_list())
-    hulls = []
-    hull = sc.sets._convex_hull_2d
-    monkeypatch.setattr(sc.sets, "_convex_hull_2d", lambda *args: hulls.append(1) or hull(*args))
     for query in (lambda: tohrep(Z), lambda: sc.HPolytope(Z.constraints_list())):
-        hulls.clear()
+        hull_calls.clear()
         P = query()
-        assert len(hulls) == 1
+        assert len(hull_calls) == 1
         assert sc.is_equivalent(P, expected)

@@ -162,10 +162,7 @@ def test_bounded_2d_template_and_lazy_intersection_solve_no_lp(lp_calls):
     assert len(lp_calls) == 0
 
 
-def test_polygons_from_zonotopes_and_hpolytopes_are_hulled_once(monkeypatch):
-    hulls = []
-    hull = setcalc.sets._convex_hull_2d
-    monkeypatch.setattr(setcalc.sets, "_convex_hull_2d", lambda *args: hulls.append(1) or hull(*args))
+def test_polygons_from_zonotopes_and_hpolytopes_are_hulled_once(hull_calls):
     rng = np.random.default_rng(12)
     for trial in range(60):
         G = rng.uniform(-1.0, 1.0, (2, int(rng.integers(1, 12))))
@@ -177,9 +174,9 @@ def test_polygons_from_zonotopes_and_hpolytopes_are_hulled_once(monkeypatch):
         for X, convert in ((Z, lambda X: sc.convert_to(sc.VPolygon, X)), (H, sc.tovrep)):
             if not X.is_bounded():
                 continue
-            del hulls[:]
+            del hull_calls[:]
             polygon = convert(X)
-            assert len(hulls) == 1
+            assert len(hull_calls) == 1
             assert polygon == sc.VPolygon(X.vertices_list())
 
 
