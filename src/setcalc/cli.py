@@ -310,6 +310,8 @@ def cmd_plot(args) -> int:
             print(f"error: {path} is not 2-D", file=sys.stderr)
             return EXIT_BAD_ARGS
         polygons.append(concrete_ops._to_polygon(lazyops.concretize(tree), default_tolerance()).vertices)
+    if not any(len(P) for P in polygons):
+        raise DocumentError("every set to plot is empty")
     _write_out(render_svg(polygons), args.out)
     return EXIT_OK
 

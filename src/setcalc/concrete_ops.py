@@ -134,8 +134,8 @@ _POLYGONAL = (HPolyhedron, VPolygon, VPolytope, AbstractHyperrectangle, Zonotope
 
 def minkowski_sum(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
     """X + Y pointwise: boxes stay boxes, zonotope pairs stay zonotopes, and
-    any other pair of 2-D polytopes is summed as two polygons (an unbounded
-    H-polyhedron raises ``UnboundedSetError``)."""
+    any other 2-D pair is summed as two polygons, made in order: the first
+    operand without a vertex list raises (an unbounded one ``UnboundedSetError``)."""
     _require_same_dim(X, Y)
     if isinstance(X, AbstractHyperrectangle) and isinstance(Y, AbstractHyperrectangle):
         if isinstance(X, Interval) and isinstance(Y, Interval):
@@ -145,7 +145,7 @@ def minkowski_sum(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None =
     if isinstance(X, zono_kinds) and isinstance(Y, zono_kinds):
         ZX, ZY = _as_zonotope(X), _as_zonotope(Y)
         return Zonotope(ZX.center + ZY.center, np.hstack([ZX.generators, ZY.generators]))
-    if X.dim == 2 and isinstance(X, _POLYGONAL) and isinstance(Y, _POLYGONAL):
+    if X.dim == 2:
         return _polygon_minkowski(_to_polygon(X, ctx), _to_polygon(Y, ctx), ctx)
     raise UnsupportedOperationError(
         f"minkowski_sum is not implemented for {type(X).__name__} and {type(Y).__name__}"
@@ -301,12 +301,12 @@ def cartesian_product(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | No
 
 
 def convex_hull_union(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> VPolygon:
-    """Convex hull of the union of two 2-D polytopic sets."""
+    """Convex hull of the union of two 2-D polytopic sets: one hull of both vertex lists."""
     _require_same_dim(X, Y)
     if X.dim != 2:
         raise UnsupportedOperationError("concrete convex hull is only implemented in 2-D")
-    points = list(X.vertices_list(ctx)) + list(Y.vertices_list(ctx))
-    return VPolygon(points)
+    rows = [Z.vertices if isinstance(Z, VPolygon) else np.reshape(Z.vertices_list(ctx), (-1, 2)) for Z in (X, Y)]
+    return VPolygon(np.concatenate(rows))
 
 
 def linear_map(M, X: ConcreteSet, ctx: ToleranceContext | None = None) -> ConcreteSet:

@@ -425,8 +425,8 @@ def _min_bound(X, D, results, want, ctx):
 
 # ---------------------------------------------------------------------------
 # Concretize rules ``(X, values, ctx)``, over the concrete values of X's
-# operands.  A zonotope rule is the closed form on zonotope operands; a
-# polygon rule builds a 2-D node from any operand values.
+# operands.  On zonotope operands the rule of a ``closed`` kind is the closed
+# form; elsewhere ``concretize`` makes its 2-D value a polygon.
 
 
 def _mapped_set(X, values, ctx):
@@ -441,16 +441,6 @@ def _sum_set(X, values, ctx):
 
 def _product_set(X, values, ctx):
     return concrete_ops.cartesian_product(*values, ctx)
-
-
-def _polygon_of(rule):
-    """``rule`` on the operands' values, with its result made a polygon."""
-    return lambda X, values, ctx: concrete_ops._to_polygon(rule(X, values, ctx), ctx)
-
-
-def _on_polygons(rule):
-    """``rule`` on the operands' values made polygons."""
-    return lambda X, values, ctx: rule(X, [concrete_ops._to_polygon(v, ctx) for v in values], ctx)
 
 
 def _operand_hrep_2d(X, values, ctx) -> HPolyhedron:
@@ -534,10 +524,10 @@ def _singleton_shift(X, x, ctx):
 class _Kind(NamedTuple):
     arity: int | None  # operand count; None means two or more
     support: tuple | None  # (blocks, combine) of the support pass outside run pairs
-    zonotope: Callable | None  # concretize: closed form on zonotope operands
-    polygon: Callable | None  # concretize: a 2-D node from its operands' values
+    concrete: Callable | None  # concretize: the node's value from its operands' values
     member: Callable | None  # membership coroutine
-    lazy_operand: bool = False  # the polygon rule reads the operand unconcretized
+    closed: bool = False  # keeps zonotopes zonotopes: the closed form on them, else a 2-D value made a polygon
+    lazy_operand: bool = False  # the concrete rule reads the operand unconcretized
     step: bool = False  # may start a step when at most one operand is lazy and a matrix is square
     union: bool = False  # the first max over its operands: may be a prefix union
     matrix: bool = False  # takes (and needs) a matrix payload, whose columns match the operand
@@ -545,28 +535,27 @@ class _Kind(NamedTuple):
     dim: Callable = _common_dim  # (kind, operands, dims, matrix) -> the node's dimension; checks the dims
 
 
-_MAP = _Kind(1, (_mapped, _map_back), _mapped_set, _polygon_of(_mapped_set), _preimage, step=True, matrix=True,
+_MAP = _Kind(1, (_mapped, _map_back), _mapped_set, _preimage, closed=True, step=True, matrix=True,
              dim=lambda kind, ops, dims, matrix: len(matrix))
+_SUM = _Kind(2, (_same, _sum), _sum_set, _singleton_shift, closed=True, step=True)
 _KINDS = {
     "LinearMap": _MAP,
     "AffineMap": _MAP._replace(vector=True),
-    "Translation": _Kind(
-        1, (_same, _map_back), _mapped_set, _on_polygons(_mapped_set), _preimage, step=True, vector=True
-    ),
-    "MinkowskiSum": _Kind(2, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, step=True),
-    "MinkowskiSumArray": _Kind(None, (_same, _sum), _sum_set, _on_polygons(_sum_set), _singleton_shift, step=True),
+    "Translation": _Kind(1, (_same, _map_back), _mapped_set, _preimage, closed=True, step=True, vector=True),
+    "MinkowskiSum": _SUM,
+    "MinkowskiSumArray": _SUM._replace(arity=None),
     "CartesianProduct": _Kind(
-        2, (_sliced, _product), _product_set, _polygon_of(_product_set),
-        _decided_by(False, lambda X, x: np.split(x, _offsets(X))), dim=lambda kind, ops, dims, matrix: sum(dims),
+        2, (_sliced, _product), _product_set, _decided_by(False, lambda X, x: np.split(x, _offsets(X))),
+        closed=True, dim=lambda kind, ops, dims, matrix: sum(dims),
     ),
     "ConvexHullUnion": _Kind(
-        2, (_same, _first_max), None, _on_polygons(lambda X, P, ctx: concrete_ops.convex_hull_union(*P, ctx)), None,
+        2, (_same, _first_max), lambda X, values, ctx: concrete_ops.convex_hull_union(*values, ctx), None,
         union=True,
     ),
-    "Union": _Kind(None, (_same, _first_max), None, None, _decided_by(True), union=True),
-    "Intersection": _Kind(2, (_exact_intersection, _intersection_2d), None, _intersection_set, _decided_by(False)),
-    "SymmetricIntervalHull": _Kind(1, (_axes, _interval_hull), None, _interval_hull_set, None, True),
-    "Complement": _Kind(1, (_complement, None), None, None, _negation),
+    "Union": _Kind(None, (_same, _first_max), None, _decided_by(True), union=True),
+    "Intersection": _Kind(2, (_exact_intersection, _intersection_2d), _intersection_set, _decided_by(False)),
+    "SymmetricIntervalHull": _Kind(1, (_axes, _interval_hull), _interval_hull_set, None, lazy_operand=True),
+    "Complement": _Kind(1, (_complement, None), None, _negation),
 }
 KINDS = frozenset(_KINDS)
 
@@ -872,11 +861,12 @@ def _intersection_hrep_2d(X, ctx) -> HPolyhedron:
 def concretize(T: ConvexSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
     """Evaluate a lazy tree into a concrete set.
 
-    A subtree of box and zonotope leaves under zonotope-preserving kinds
-    collapses in closed form, in any dimension: the whole tree when it is
-    such a subtree, and else every node of a dimension other than 2.  The
-    2-D nodes of any other tree are built as polygons from their operands'
-    values in one bottom-up pass.  Everything else raises.
+    A subtree of box and zonotope leaves under ``closed`` kinds collapses in
+    closed form, in any dimension: the whole tree when it is such a subtree,
+    and else every node of a dimension other than 2.  The 2-D nodes of any
+    other tree run their kind's rule on their operands' values in one
+    bottom-up pass, and a ``closed`` kind's value becomes a polygon.
+    Everything else raises.
     """
     if not isinstance(T, (ConcreteSet, LazyNode)):
         raise TypeError(f"expected a set, got {type(T).__name__}")
@@ -885,25 +875,25 @@ def concretize(T: ConvexSet, ctx: ToleranceContext | None = None) -> ConcreteSet
     def closed_form(X):
         # X as a zonotope, or None where its subtree is not zonotopal throughout.
         zonotopal = _fold(X, lambda leaf: isinstance(leaf, (AbstractHyperrectangle, Zonotope)),
-                          lambda Y, fs: _KINDS[Y.kind].zonotope is not None and all(fs), values=flags)
+                          lambda Y, fs: _KINDS[Y.kind].closed and all(fs), values=flags)
         if not zonotopal:
             return None
-        return _fold(X, concrete_ops._as_zonotope, lambda Y, zs: _KINDS[Y.kind].zonotope(Y, zs, ctx),
+        return _fold(X, concrete_ops._as_zonotope, lambda Y, zs: _KINDS[Y.kind].concrete(Y, zs, ctx),
                      values=zonotopes)
 
     def operands(X):
-        # The operands whose values X's polygon rule reads; none for other
-        # nodes, which take the closed form or raise before anything below
-        # them is built.
+        # The operands whose values X's rule reads; none for other nodes,
+        # which take the closed form or raise before anything below them is
+        # built.
         row = _KINDS[X.kind]
-        return X.operands if X.dim == 2 and row.polygon is not None and not row.lazy_operand else ()
+        return X.operands if X.dim == 2 and row.concrete is not None and not row.lazy_operand else ()
 
     def combine(X, values):
-        polygon = _KINDS[X.kind].polygon
-        if X.dim != 2:
-            value = closed_form(X)
-        else:
-            value = None if polygon is None else polygon(X, values, ctx)
+        row = _KINDS[X.kind]
+        if X.dim == 2 and row.concrete is not None:
+            value = row.concrete(X, values, ctx)
+            return concrete_ops._to_polygon(value, ctx) if row.closed else value
+        value = closed_form(X) if X.dim != 2 else None
         if value is None:
             raise UnsupportedOperationError(
                 f"cannot concretize lazy kind {X.kind!r} in dimension {X.dim}: outside both "

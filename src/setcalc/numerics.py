@@ -230,11 +230,14 @@ def feasible_point(A, b, ctx: ToleranceContext | None = None) -> np.ndarray | No
     """Return a point x with ``A x <= b`` (phase 1), or None if there is none.
 
     A is an (m, n) array and b an m-vector; with m = 0 the origin of R^n.
+    Each row is a half-space in x; nonzero rows are scaled to unit normals,
+    so atol is a distance and the verdict does not read row scales.
     """
-    outcome = solve_lp(LinearProgram(np.zeros(np.shape(A)[-1]), A, b), ctx)
-    if outcome.status is LpStatus.OPTIMAL:
-        return outcome.optimizer
-    return None
+    lp = LinearProgram(np.zeros(np.shape(A)[-1]), A, b)
+    norms = np.hypot.reduce(lp.normals, axis=1, initial=0.0)  # no overflow or underflow
+    norms[norms == 0.0] = 1.0
+    lp.normals, lp.offsets = lp.normals / norms[:, None], lp.offsets / norms
+    return solve_lp(lp, ctx).optimizer  # set iff optimal
 
 
 def is_feasible(A, b, ctx: ToleranceContext | None = None) -> bool:

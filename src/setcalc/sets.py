@@ -586,7 +586,7 @@ class Zonotope(ConcreteSet):
         ctx = resolve_tolerance(ctx)
         eye, G = np.eye(m), self.generators
         offsets = np.concatenate((np.ones(2 * m), rhs + ctx.atol, ctx.atol - rhs))
-        return is_feasible(np.vstack((eye, -eye, G, -G)), offsets, ctx)
+        return solve_lp(LinearProgram(np.zeros(m), np.vstack((eye, -eye, G, -G)), offsets), ctx).status is LpStatus.OPTIMAL
 
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
         if self.dim == 1:
@@ -1019,14 +1019,18 @@ class VPolytope(ConcreteSet):
         return _vertex_support(self.vertices, D, vectors)
 
     def contains(self, x, ctx=None) -> bool:
-        # x is a convex combination of the vertices: lambda >= 0, sum = 1,
-        # V^T lambda = x, checked as LP feasibility.
+        # In 2-D the polygon's rule, atol a distance; else V^T lambda = x with
+        # lambda >= 0, sum 1, within atol per coordinate.  These LPs (here and in
+        # Zonotope.contains) keep their rows: is_feasible's unit rows would
+        # scale each coordinate's atol by the norm of its row of V (or G).
+        if self.dim == 2:
+            return VPolygon(self.vertices).contains(x, ctx)
         ctx = resolve_tolerance(ctx)
         x = _as_vector(x, self.dim, "point")
         k, V = self.vertices.shape[0], self.vertices.T
         normals = np.vstack((-np.eye(k), np.ones(k), -np.ones(k), V, -V))
         offsets = np.concatenate((np.zeros(k), [1.0 + ctx.atol, ctx.atol - 1.0], x + ctx.atol, ctx.atol - x))
-        return is_feasible(normals, offsets, ctx)
+        return solve_lp(LinearProgram(np.zeros(k), normals, offsets), ctx).status is LpStatus.OPTIMAL
 
     def vertices_list(self, ctx=None) -> list[np.ndarray]:
         if self.dim == 2:

@@ -413,6 +413,18 @@ def test_cmd_plot_rejects_non_2d(tmp_path):
     assert main(["plot", "--doc", doc, "--out", str(tmp_path / "x.svg")]) == 2
 
 
+def test_cmd_plot_of_empty_sets_is_a_document_error(tmp_path, capsys):
+    empty = {"op": "Intersection", "args": [
+        {"set": "BallInf", "center": [0.0, 0.0], "radius": 1.0},
+        {"set": "BallInf", "center": [5.0, 0.0], "radius": 1.0},
+    ]}
+    doc = _write(tmp_path, "e.json", empty)
+    out = tmp_path / "e.svg"
+    assert main(["plot", "--doc", doc, "--doc", doc, "--out", str(out)]) == 2
+    assert "every set to plot is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"set": "BallInf",')

@@ -73,6 +73,7 @@ def test_polygon_membership_tolerance_is_a_distance(jitter, log_scale, turn, edg
             x = a + where * (b - a) + offset * np.array([u[1], -u[0]])
     assert _distance_to_polygon(x, V) == pytest.approx(offset, rel=1e-2)
     assert P.contains(x) == (factor < 1.0)
+    assert sc.VPolytope(V).contains(x) == P.contains(x)
 
 
 def test_polygon_membership_tolerance_examples():
@@ -85,6 +86,11 @@ def test_polygon_membership_tolerance_examples():
     segment = sc.VPolygon([[0.0, 0.0], [1e4, 0.0]])
     assert not sc.membership([1e4 + 5e3 * atol, 0.0], segment)
     assert sc.membership([1e4 + 0.5 * atol, 0.0], segment)
+    # 1.3 and 2.1 atol beyond the hypotenuse: outside in every representation.
+    V = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    for X in (sc.VPolygon(V), sc.tohrep(sc.VPolygon(V)), sc.VPolytope(V)):
+        assert not sc.membership([0.5 + 9e-9, 0.5 + 9e-9], X)
+        assert not sc.membership([0.5 + 1.5e-8, 0.5 + 1.5e-8], X)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

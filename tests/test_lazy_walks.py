@@ -3,8 +3,10 @@
 ``concretize_reference`` keeps the recursive versions the walkers replaced.
 On random trees of every kind the walkers must give the same representation
 type, the same vertex or generator count and the same support values to
-1e-12 relative (fixed before running; only the route of zonotopal subtrees
-under a polygon node changes the arithmetic), and the same membership
+1e-12 relative (fixed before running; the arithmetic differs where a node
+of a zonotope-preserving kind runs on its operands' values before they
+become polygons: sums of boxes or zonotopes, translations of H-polytopes,
+zonotopal subtrees under a polygon node), and the same membership
 verdicts, raising the same exception type wherever the reference raises.
 Deep chains and shared subtrees must cost time linear in their distinct
 nodes.
@@ -19,7 +21,7 @@ import pytest
 import setcalc as sc
 from setcalc import concretize, lazy_membership, make_node
 from setcalc.approximation import generate_directions, polar_template
-from setcalc.errors import UnsupportedOperationError
+from setcalc.errors import UnboundedSetError, UnsupportedOperationError
 from concretize_reference import reference_concretize, reference_membership
 from conftest import random_box_2d, random_polygon, random_zonotope_2d
 
@@ -258,6 +260,33 @@ def test_concretize_matches_recursive_reference_under_non_2d_nodes():
         if mixed.operands[0].dim == 3:
             _assert_same_concretization(mixed.operands[0], rng.normal(size=(16, 3)))
     assert routes.get("VPolygon", 0) >= 60 and routes.get("raised", 0) >= 20, routes
+
+
+def test_concretize_matches_recursive_reference_on_hull_trees():
+    # Hulls over a sum of boxes and a translated H-polytope, an unbounded
+    # H-polyhedron, an empty intersection, and a 3-D zonotopal subtree
+    # under a 3-to-2 map.
+    box = sc.Hyperrectangle([0.5, -0.2], [0.3, 0.4])
+    polytope = sc.tohrep(sc.VPolygon([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]]))
+    unbounded = sc.HPolyhedron([sc.HalfSpace([1.0, 0.0], 1.0), sc.HalfSpace([0.0, 1.0], 1.0)])
+    empty = make_node("Intersection", [sc.BallInf([0.0, 0.0], 1.0), sc.BallInf([5.0, 0.0], 1.0)])
+    zonotopal = make_node("MinkowskiSum", [sc.Zonotope([0.0, 1.0, 0.5], [[1.0, 0.2], [0.0, 0.5], [0.3, -1.0]]),
+                                           sc.Hyperrectangle([1.0, 0.0, 0.0], [0.1, 0.2, 0.3])])
+    mapped = make_node("LinearMap", [zonotopal], matrix=[[1.0, 0.5, 0.0], [0.0, -0.5, 1.0]])
+    sums = make_node("MinkowskiSum", [box, sc.BallInf([-1.0, 0.0], 0.5)])
+    trees = [
+        make_node("ConvexHullUnion", [sums, make_node("Translation", [polytope], vector=[2.0, 1.0])]),
+        make_node("ConvexHullUnion", [box, unbounded]),
+        make_node("ConvexHullUnion", [empty, make_node("Translation", [box], vector=[0.0, 3.0])]),
+        make_node("ConvexHullUnion", [mapped, polytope]),
+        # The sum meets the unbounded operand before the half-space.
+        make_node("MinkowskiSum", [make_node("Intersection", unbounded.constraints_list()), sc.HalfSpace([1, 1], 0)]),
+    ]
+    routes = [_assert_same_concretization(tree, POLAR) for tree in trees]
+    assert routes == ["VPolygon", "raised", "VPolygon", "VPolygon", "raised"]
+    for tree in (trees[1], trees[4]):
+        with pytest.raises(UnboundedSetError):
+            concretize(tree)
 
 
 def test_zonotopal_subtree_under_3d_product_concretizes():

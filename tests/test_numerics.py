@@ -197,6 +197,25 @@ def test_feasibility_interface():
     assert not sc.is_feasible(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e170])
+@pytest.mark.parametrize("gap", [1e-3, -1e-3])
+def test_feasibility_verdict_does_not_depend_on_row_scale(scale, gap):
+    # A 3-D box whose x-bounds x <= 0 and x >= gap are 1e-3 apart: empty in
+    # the wrong order (gap > 0), a thin slab in the right one.  HiGHS decides
+    # the rows as given; every scaling of them must read the same.
+    optimize = pytest.importorskip("scipy.optimize")
+    A = np.vstack((np.eye(3), -np.eye(3)))
+    b = np.array([0.0, 1.0, 1.0, -gap, 1.0, 1.0])
+    oracle = optimize.linprog(np.zeros(3), A_ub=A, b_ub=b, bounds=[(None, None)] * 3, method="highs")
+    assert oracle.status in (0, 2)
+    assert sc.is_feasible(scale * A, scale * b) is (oracle.status == 0)
+    assert sc.is_empty(sc.HPolyhedron._from_arrays(scale * A, scale * b)) is (oracle.status == 2)
+    found = feasible_point(scale * A, scale * b)
+    assert (found is None) is (oracle.status == 2)
+    if found is not None:
+        assert np.all(A.dot(found) <= b + 1e-9)
+
+
 def test_feasibility_through_interior_point():
     rng = np.random.default_rng(3)
     for _ in range(20):

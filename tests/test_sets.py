@@ -356,6 +356,22 @@ def test_degenerate_polygon_membership():
     assert not sc.membership([1.1, 2.0], point)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_flat_membership_by_weights_does_not_loosen_with_scale(scale):
+    # A triangle and a parallelogram in the plane x + y + z = 0 of 3-D space,
+    # whose membership is an LP over weights: a point 1e-3 off the plane
+    # (1e5 atol) is outside at every scale, and the origin inside.
+    normal = np.ones(3) / np.sqrt(3.0)
+    flat = [
+        sc.VPolytope(scale * np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])),
+        sc.Zonotope(np.zeros(3), scale * np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])),
+    ]
+    for X in flat:
+        assert X.contains(np.zeros(3))
+        assert not X.contains(1e-3 * normal)
+        assert not X.contains(-1e-3 * normal)
+
+
 def _subclasses(cls):
     out, stack = [], [cls]
     while stack:
