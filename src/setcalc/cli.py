@@ -13,7 +13,8 @@ Matrices are row-major arrays of arrays.  Field names follow the set
 constructors (center, radius, generators, normal, offset, vertices, lo/hi).
 
 Exit codes: 0 success, 1 internal error, 2 bad arguments or malformed
-input, 3 unsupported operation.
+input, 3 unsupported operation, or a set that is empty, unbounded or
+degenerate where the query needs otherwise.
 """
 
 from __future__ import annotations
@@ -27,9 +28,12 @@ import numpy as np
 
 from . import approximation, concrete_ops, lazyops, sets
 from .errors import (
+    DegeneratePolygonError,
     DimensionMismatchError,
     DocumentError,
+    EmptySetError,
     SetcalcError,
+    UnboundedSetError,
     UnsupportedOperationError,
 )
 from .numerics import ToleranceContext, default_tolerance, set_default_tolerance
@@ -177,6 +181,8 @@ def render_svg(polygons: list[np.ndarray]) -> str:
 
     Input polygons are counter-clockwise vertex arrays in data coordinates;
     the y axis is flipped inside the document so larger y renders upward.
+    An empty polygon has no element, and each set keeps the palette colour
+    of its position.
     """
     points = np.vstack([p for p in polygons if len(p) > 0])
     lo = points.min(axis=0)
@@ -196,6 +202,8 @@ def render_svg(polygons: list[np.ndarray]) -> str:
         f'<g transform="matrix(1,0,0,-1,0,{_fmt(flip)})">',
     ]
     for index, polygon in enumerate(polygons):
+        if not len(polygon):
+            continue
         color = _PALETTE[index % len(_PALETTE)]
         coords = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in polygon)
         lines.append(
@@ -373,6 +381,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UnsupportedOperationError as exc:
         print(f"unsupported operation: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except (EmptySetError, UnboundedSetError, DegeneratePolygonError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except (DocumentError, DimensionMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

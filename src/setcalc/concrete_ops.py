@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptySetError, UnsupportedOperationError
+from .errors import DimensionMismatchError, EmptySetError, UnboundedSetError, UnsupportedOperationError
 from .numerics import ToleranceContext, resolve_tolerance, within
 from .sets import (
     AbstractHyperrectangle,
@@ -128,8 +128,24 @@ def _to_polygon(X: ConcreteSet, ctx: ToleranceContext) -> VPolygon:
     return VPolygon(X.vertices_list(ctx))
 
 
-# The kinds that are polytopes where bounded, and polygons in 2-D.
-_POLYGONAL = (HPolyhedron, VPolygon, VPolytope, AbstractHyperrectangle, Zonotope)
+# The kinds that are always bounded, and those that are polytopes where
+# bounded: polygons in 2-D.
+_BOUNDED = (HPolytope, VPolygon, VPolytope, AbstractHyperrectangle, Zonotope)
+_POLYGONAL = (HPolyhedron, *_BOUNDED)
+
+
+def _value_2d(X: ConcreteSet, ctx: ToleranceContext) -> ConcreteSet:
+    """The one form of a 2-D value: a bounded polytope as a polygon, an empty
+    one as ``VPolygon([])``, and anything else (an unbounded H-polyhedron, a
+    half-space, a hyperplane) as it is."""
+    if not isinstance(X, _POLYGONAL):
+        return X
+    try:
+        return _to_polygon(X, ctx)
+    except EmptySetError:
+        return VPolygon([])
+    except UnboundedSetError:
+        return X
 
 
 def minkowski_sum(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
@@ -157,12 +173,17 @@ def intersection(
 ) -> ConcreteSet:
     """X intersected with Y; possibly empty (check with :func:`is_empty`).
 
-    Box pairs meet intervalwise; an axis-aligned situation in 2-D clips the
-    box polygon exactly; everything with available constraint lists falls
-    back to constraint concatenation.  ``prune`` removes redundant
-    constraints of the concatenated result (one LP per constraint).
+    Box pairs meet intervalwise, a 2-D box cut by a half-space is clipped as
+    a polygon (vertices within ``atol`` of the half-space stay), and an empty
+    polygon meets anything in the empty polygon.  Every other pair with
+    constraint rows stacks them: an H-polytope when either operand is of a
+    bounded kind, else an H-polyhedron.  ``prune`` removes redundant rows of
+    the stack (one LP per row).
     """
     _require_same_dim(X, Y)
+
+    if any(isinstance(Z, VPolygon) and Z.num_vertices == 0 for Z in (X, Y)):
+        return VPolygon([])
 
     if isinstance(X, HalfSpace) and not isinstance(Y, HalfSpace):
         return intersection(Y, X, ctx, prune)
@@ -181,15 +202,12 @@ def intersection(
         return HPolytope(list(X.constraints_list(ctx)) + [Y])
 
     if _has_constraints(X) and _has_constraints(Y):
-        combined = list(X.constraints_list(ctx)) + list(Y.constraints_list(ctx))
+        (AX, bX), (AY, bY) = X._hrep(ctx), Y._hrep(ctx)
+        cls = HPolytope if isinstance(X, _BOUNDED) or isinstance(Y, _BOUNDED) else HPolyhedron
+        region = cls._from_arrays(np.vstack((AX, AY)), np.concatenate((bX, bY)))
         if prune:
-            combined = remove_redundant_constraints(combined, ctx)
-        bounded_kind = (
-            isinstance(X, (HPolytope, AbstractHyperrectangle, VPolygon, Zonotope))
-            or isinstance(Y, (HPolytope, AbstractHyperrectangle, VPolygon, Zonotope))
-        )
-        cls = HPolytope if bounded_kind else HPolyhedron
-        return cls(combined, dim=X.dim)
+            return cls(remove_redundant_constraints(region.constraints, ctx), dim=X.dim)
+        return region
 
     raise UnsupportedOperationError(
         f"intersection is not implemented for {type(X).__name__} and {type(Y).__name__}"
@@ -375,7 +393,7 @@ def is_subset(X: ConvexSet, Y: ConcreteSet, ctx: ToleranceContext | None = None)
 def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = None) -> bool:
     """Whether X and Y share no point; touching boundaries count as sharing.
     Boxes, half-spaces and bounded 2-D polytopes: iff some axis u has
-    ``rho(u, X) + rho(-u, Y) < -atol |u|``; others: iff stacked constraints are empty."""
+    ``rho(u, X) + rho(-u, Y) < -atol |u|``; others: iff their intersection is empty."""
     ctx = resolve_tolerance(ctx)
     _require_same_dim(X, Y)
     if isinstance(X, AbstractHyperrectangle) and isinstance(Y, AbstractHyperrectangle):
@@ -392,12 +410,7 @@ def is_disjoint(X: ConcreteSet, Y: ConcreteSet, ctx: ToleranceContext | None = N
     ):
         (X, NX), (Y, NY) = PX, PY
         return is_empty(X, ctx) or is_empty(Y, ctx) or not _axes_overlap(X, NX, Y, NY, ctx)
-    if _has_constraints(X) and _has_constraints(Y):
-        (AX, bX), (AY, bY) = X._hrep(ctx), Y._hrep(ctx)
-        return is_empty(HPolyhedron._from_arrays(np.vstack((AX, AY)), np.concatenate((bX, bY))), ctx)
-    raise UnsupportedOperationError(
-        f"is_disjoint is not implemented for {type(X).__name__} and {type(Y).__name__}"
-    )
+    return is_empty(intersection(X, Y, ctx), ctx)
 
 
 def _polygon_axes(X: ConcreteSet, ctx: ToleranceContext):

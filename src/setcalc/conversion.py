@@ -7,7 +7,7 @@ two are not implemented and raise.
 
 from __future__ import annotations
 
-from .errors import UnsupportedOperationError
+from .errors import DegeneratePolygonError, UnsupportedOperationError
 from .numerics import ToleranceContext
 from .sets import (
     AbstractHyperrectangle,
@@ -22,12 +22,16 @@ from .concrete_ops import _as_zonotope, _to_polygon, cartesian_product
 
 
 def tohrep(X: ConcreteSet, ctx: ToleranceContext | None = None) -> HPolytope:
-    """H-representation of a bounded 2-D polytopic set (edge normals)."""
+    """H-representation of a bounded 2-D polytopic set (edge normals); a
+    segment, a point or the empty polygon raises ``DegeneratePolygonError``."""
     if X.dim != 2:
         raise UnsupportedOperationError("tohrep is only implemented in dimension 2")
     if isinstance(X, HPolytope):
         return X
-    return HPolytope._from_arrays(*_to_polygon(X, ctx)._hrep(ctx))
+    P = _to_polygon(X, ctx)
+    if P.num_vertices < 3:
+        raise DegeneratePolygonError(f"polygon with {P.num_vertices} vertices is degenerate; no H-polytope")
+    return HPolytope._from_arrays(*P._hrep(ctx))
 
 
 def tovrep(X: HPolytope, ctx: ToleranceContext | None = None) -> VPolygon:

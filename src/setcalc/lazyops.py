@@ -52,13 +52,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptySetError, UnboundedSetError, UnsupportedOperationError
+from .errors import DimensionMismatchError, UnboundedSetError, UnsupportedOperationError
 from .numerics import ToleranceContext, resolve_tolerance
 from .sets import (
     AbstractHyperrectangle,
     ConcreteSet,
     ConvexSet,
-    HPolyhedron,
     VPolygon,
     Zonotope,
     _as_direction,
@@ -69,7 +68,6 @@ from .sets import (
 )
 from . import concrete_ops
 from .approximation import symmetric_interval_hull
-from .conversion import tohrep, tovrep
 
 
 class LazyNode(ConvexSet):
@@ -416,7 +414,7 @@ def _interval_hull(X, D, results, want, ctx):
 
 
 def _intersection_2d(X, D, results, want, ctx):
-    return _intersection_hrep_2d(X, ctx)._support_batch(D, ctx, want)
+    return concretize(X, ctx)._support_batch(D, ctx, want)
 
 
 def _min_bound(X, D, results, want, ctx):
@@ -426,7 +424,8 @@ def _min_bound(X, D, results, want, ctx):
 # ---------------------------------------------------------------------------
 # Concretize rules ``(X, values, ctx)``, over the concrete values of X's
 # operands.  On zonotope operands the rule of a ``closed`` kind is the closed
-# form; elsewhere ``concretize`` makes its 2-D value a polygon.
+# form; elsewhere ``concretize`` gives its 2-D value the one form of
+# ``concrete_ops._value_2d``, as it does for every kind.
 
 
 def _mapped_set(X, values, ctx):
@@ -439,29 +438,9 @@ def _sum_set(X, values, ctx):
     return functools.reduce(lambda A, B: concrete_ops.minkowski_sum(A, B, ctx), values)
 
 
-def _product_set(X, values, ctx):
-    return concrete_ops.cartesian_product(*values, ctx)
-
-
-def _operand_hrep_2d(X, values, ctx) -> HPolyhedron:
-    # Concrete operands contribute their own constraint rows (so half-space
-    # and H-polyhedron operands are fine); lazy ones the edges of their polygon.
-    A, b = zip(*[(tohrep(v, ctx) if type(op) is LazyNode else v)._hrep(ctx) for op, v in zip(X.operands, values)])
-    return HPolyhedron._from_arrays(np.vstack(A), np.concatenate(b))
-
-
-def _intersection_set(X, values, ctx):
-    region = _operand_hrep_2d(X, values, ctx)
-    try:
-        return tovrep(region, ctx)
-    except EmptySetError:
-        return VPolygon([])
-    except UnboundedSetError:
-        return region
-
-
-def _interval_hull_set(X, values, ctx):
-    return concrete_ops._to_polygon(symmetric_interval_hull(X.operands[0], ctx), ctx)
+def _on_values(operation):
+    # The rule that is a concrete_ops operation on the operands' values.
+    return lambda X, values, ctx: operation(*values, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +505,7 @@ class _Kind(NamedTuple):
     support: tuple | None  # (blocks, combine) of the support pass outside run pairs
     concrete: Callable | None  # concretize: the node's value from its operands' values
     member: Callable | None  # membership coroutine
-    closed: bool = False  # keeps zonotopes zonotopes: the closed form on them, else a 2-D value made a polygon
+    closed: bool = False  # keeps zonotopes zonotopes: the closed form runs its rule on them
     lazy_operand: bool = False  # the concrete rule reads the operand unconcretized
     step: bool = False  # may start a step when at most one operand is lazy and a matrix is square
     union: bool = False  # the first max over its operands: may be a prefix union
@@ -544,17 +523,16 @@ _KINDS = {
     "Translation": _Kind(1, (_same, _map_back), _mapped_set, _preimage, closed=True, step=True, vector=True),
     "MinkowskiSum": _SUM,
     "MinkowskiSumArray": _SUM._replace(arity=None),
-    "CartesianProduct": _Kind(
-        2, (_sliced, _product), _product_set, _decided_by(False, lambda X, x: np.split(x, _offsets(X))),
-        closed=True, dim=lambda kind, ops, dims, matrix: sum(dims),
-    ),
-    "ConvexHullUnion": _Kind(
-        2, (_same, _first_max), lambda X, values, ctx: concrete_ops.convex_hull_union(*values, ctx), None,
-        union=True,
-    ),
+    "CartesianProduct": _Kind(2, (_sliced, _product), _on_values(concrete_ops.cartesian_product),
+                              _decided_by(False, lambda X, x: np.split(x, _offsets(X))),
+                              closed=True, dim=lambda kind, ops, dims, matrix: sum(dims)),
+    "ConvexHullUnion": _Kind(2, (_same, _first_max), _on_values(concrete_ops.convex_hull_union), None, union=True),
     "Union": _Kind(None, (_same, _first_max), None, _decided_by(True), union=True),
-    "Intersection": _Kind(2, (_exact_intersection, _intersection_2d), _intersection_set, _decided_by(False)),
-    "SymmetricIntervalHull": _Kind(1, (_axes, _interval_hull), _interval_hull_set, None, lazy_operand=True),
+    "Intersection": _Kind(2, (_exact_intersection, _intersection_2d), _on_values(concrete_ops.intersection),
+                          _decided_by(False)),
+    "SymmetricIntervalHull": _Kind(1, (_axes, _interval_hull),
+                                   lambda X, values, ctx: symmetric_interval_hull(X.operands[0], ctx), None,
+                                   lazy_operand=True),
     "Complement": _Kind(1, (_complement, None), None, _negation),
 }
 KINDS = frozenset(_KINDS)
@@ -853,11 +831,6 @@ def lazy_membership(x, T: ConvexSet, ctx: ToleranceContext | None = None) -> boo
     return verdict
 
 
-def _intersection_hrep_2d(X, ctx) -> HPolyhedron:
-    """H-representation of a 2-D lazy intersection node."""
-    return _operand_hrep_2d(X, [concretize(op, ctx) for op in X.operands], ctx)
-
-
 def concretize(T: ConvexSet, ctx: ToleranceContext | None = None) -> ConcreteSet:
     """Evaluate a lazy tree into a concrete set.
 
@@ -865,8 +838,9 @@ def concretize(T: ConvexSet, ctx: ToleranceContext | None = None) -> ConcreteSet
     closed form, in any dimension: the whole tree when it is such a subtree,
     and else every node of a dimension other than 2.  The 2-D nodes of any
     other tree run their kind's rule on their operands' values in one
-    bottom-up pass, and a ``closed`` kind's value becomes a polygon.
-    Everything else raises.
+    bottom-up pass, and each value takes its one 2-D form
+    (:func:`concrete_ops._value_2d`): a bounded polytope a polygon, an empty
+    one the empty polygon, an unbounded set as it is.  Everything else raises.
     """
     if not isinstance(T, (ConcreteSet, LazyNode)):
         raise TypeError(f"expected a set, got {type(T).__name__}")
@@ -891,8 +865,7 @@ def concretize(T: ConvexSet, ctx: ToleranceContext | None = None) -> ConcreteSet
     def combine(X, values):
         row = _KINDS[X.kind]
         if X.dim == 2 and row.concrete is not None:
-            value = row.concrete(X, values, ctx)
-            return concrete_ops._to_polygon(value, ctx) if row.closed else value
+            return concrete_ops._value_2d(row.concrete(X, values, ctx), ctx)
         value = closed_form(X) if X.dim != 2 else None
         if value is None:
             raise UnsupportedOperationError(

@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    DegeneratePolygonError,
     DimensionMismatchError,
     EmptySetError,
     SamplingBudgetError,
@@ -614,10 +613,6 @@ class Zonotope(ConcreteSet):
         verts = self.vertices_list(ctx)
         if self.dim == 1:
             return np.array([[1.0], [-1.0]]), np.array([verts[-1][0], -verts[0][0]])
-        if len(verts) == 1:
-            return Hyperrectangle(verts[0], np.zeros(2))._hrep(ctx)
-        if len(verts) == 2:
-            return _segment_hrep_2d(verts[0], verts[1])
         return VPolygon._from_hull(verts)._hrep(ctx)
 
     def is_bounded(self, ctx=None) -> bool:
@@ -952,13 +947,14 @@ class VPolygon(ConcreteSet):
         return _segment_hrep_2d(*V)[0] if len(V) == 2 else V[:0]
 
     def _hrep(self, ctx):
-        k = self.num_vertices
-        if k < 3:
-            raise DegeneratePolygonError(
-                f"polygon with {k} vertices is degenerate (collinear); no H-representation"
-            )
+        # A segment's rows hold it between its ends and on its line; a
+        # point's are its box of radius 0.
+        V = self.vertices
+        if len(V) < 3:
+            self._require_nonempty()
+            return _segment_hrep_2d(*V) if len(V) == 2 else Hyperrectangle(V[0], np.zeros(2))._hrep(ctx)
         N = self._axes()
-        return N, np.matmul(N[:, None, :], self.vertices[:, :, None])[:, 0, 0]
+        return N, np.matmul(N[:, None, :], V[:, :, None])[:, 0, 0]
 
     def is_bounded(self, ctx=None) -> bool:
         return True

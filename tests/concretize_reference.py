@@ -11,14 +11,15 @@ import numpy as np
 
 from setcalc import concrete_ops
 from setcalc.approximation import symmetric_interval_hull
-from setcalc.conversion import tohrep
-from setcalc.errors import UnsupportedOperationError
+from setcalc.errors import EmptySetError, UnsupportedOperationError
 from setcalc.lazyops import LazyNode, _fold, _is_singleton
 from setcalc.numerics import resolve_tolerance
 from setcalc.sets import (
     AbstractHyperrectangle,
     ConcreteSet,
+    HalfSpace,
     HPolyhedron,
+    Hyperplane,
     VPolygon,
     Zonotope,
     _as_direction,
@@ -107,14 +108,26 @@ def _concretize_zonotopal(X, ctx):
 
 
 def _intersection_hrep_2d(X, ctx):
+    """The stacked constraint rows of a 2-D intersection's operand values,
+    lazy or concrete; an empty value has none and raises ``EmptySetError``."""
     constraints = []
     for op in X.operands:
-        if isinstance(op, ConcreteSet):
-            constraints.extend(op.constraints_list(ctx))
-        else:
-            poly = concrete_ops._to_polygon(reference_concretize(op, ctx), ctx)
-            constraints.extend(tohrep(poly, ctx).constraints)
+        constraints.extend(reference_concretize(op, ctx).constraints_list(ctx))
     return HPolyhedron(constraints, dim=2)
+
+
+def _value_2d(X, ctx):
+    """The form every 2-D node's value takes: a bounded polytope a polygon,
+    an empty one the empty polygon, an unbounded set as it is."""
+    if isinstance(X, (VPolygon, HalfSpace, Hyperplane)):
+        return X
+    if not isinstance(X, HPolyhedron):
+        return VPolygon(X.vertices_list(ctx))
+    if concrete_ops.is_empty(X, ctx):
+        return VPolygon([])
+    if not _normals_bound(X.A):
+        return X
+    return VPolygon(_hpolygon_2d(X.A, X.b, ctx)[1])
 
 
 def _concretize_2d(X, ctx):
@@ -136,29 +149,27 @@ def _concretize_2d(X, ctx):
         return VPolygon(np.vstack([left.vertices, right.vertices]))
     if kind == "LinearMap":
         child = reference_concretize(X.operands[0], ctx)
-        return concrete_ops._to_polygon(concrete_ops.linear_map(X.matrix, child, ctx), ctx)
+        return _value_2d(concrete_ops.linear_map(X.matrix, child, ctx), ctx)
     if kind == "AffineMap":
         child = reference_concretize(X.operands[0], ctx)
         mapped = concrete_ops.linear_map(X.matrix, child, ctx)
-        return concrete_ops._to_polygon(concrete_ops.translate(mapped, X.vector), ctx)
+        return _value_2d(concrete_ops.translate(mapped, X.vector), ctx)
     if kind == "Translation":
-        return as_poly(X.operands[0]).translate(X.vector)
+        return _value_2d(reference_concretize(X.operands[0], ctx).translate(X.vector), ctx)
     if kind == "Intersection":
-        region = _intersection_hrep_2d(X, ctx)
-        if concrete_ops.is_empty(region, ctx):
+        try:
+            region = _intersection_hrep_2d(X, ctx)
+        except EmptySetError:
             return VPolygon([])
-        if not _normals_bound(region.A):
-            return region
-        vertices = _hpolygon_2d(region.A, region.b, ctx)[1]
-        return VPolygon([]) if vertices is None else VPolygon(vertices)
+        return _value_2d(region, ctx)
     if kind == "CartesianProduct":
         children = [reference_concretize(op, ctx) for op in X.operands]
         product = children[0]
         for child in children[1:]:
             product = concrete_ops.cartesian_product(product, child, ctx)
-        return concrete_ops._to_polygon(product, ctx)
+        return _value_2d(product, ctx)
     if kind == "SymmetricIntervalHull":
-        return concrete_ops._to_polygon(symmetric_interval_hull(X.operands[0], ctx), ctx)
+        return _value_2d(symmetric_interval_hull(X.operands[0], ctx), ctx)
     raise UnsupportedOperationError(f"cannot concretize lazy kind {kind!r} in 2-D")
 
 

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
+from concretize_reference import _intersection_hrep_2d
 from setcalc.errors import UnsupportedOperationError
-from setcalc.lazyops import _intersection_hrep_2d
 from setcalc.numerics import resolve_tolerance
 from setcalc.sets import ConcreteSet, _sign_plus
 

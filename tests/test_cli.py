@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import setcalc as sc
-from setcalc.cli import main, parse_doc, render_svg, serialize_doc
-from setcalc.errors import DocumentError, UnsupportedOperationError
+from setcalc import lazyops
+from setcalc.cli import _PALETTE, main, parse_doc, render_svg, serialize_doc
+from setcalc.errors import DegeneratePolygonError, DocumentError, UnsupportedOperationError
 
 OMEGA_DOC = {
     "op": "ConvexHullUnion",
@@ -423,6 +424,62 @@ def test_cmd_plot_of_empty_sets_is_a_document_error(tmp_path, capsys):
     assert main(["plot", "--doc", doc, "--doc", doc, "--out", str(out)]) == 2
     assert "every set to plot is empty" in capsys.readouterr().err
     assert not out.exists()
+
+
+UNBOUNDED_DOC = {"op": "Intersection", "args": [
+    {"set": "HalfSpace", "normal": [1.0, 0.0], "offset": 1.0},
+    {"set": "HalfSpace", "normal": [0.0, 1.0], "offset": 1.0},
+]}
+EMPTY_DOC = {"op": "Intersection", "args": [
+    {"set": "BallInf", "center": [0.0, 0.0], "radius": 1.0},
+    {"set": "BallInf", "center": [5.0, 0.0], "radius": 1.0},
+]}
+
+
+def test_cmd_plot_skips_an_empty_set_among_nonempty_ones(tmp_path):
+    empty = _write(tmp_path, "e.json", EMPTY_DOC)
+    box = _write(tmp_path, "b.json", {"set": "BallInf", "center": [0.0, 0.0], "radius": 1.0})
+    out = tmp_path / "eb.svg"
+    assert main(["plot", "--doc", empty, "--doc", box, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.count("<polygon") == 1 and 'points=""' not in text
+    assert f'fill="{_PALETTE[1]}"' in text
+
+
+def test_support_of_an_empty_set_exits_3(tmp_path, capsys):
+    doc = _write(tmp_path, "e.json", EMPTY_DOC)
+    assert main(["support", "--doc", doc, "--dir", "1,0"]) == 3
+    err = capsys.readouterr().err
+    assert "empty" in err and "internal error" not in err
+
+
+def test_box_template_of_an_unbounded_set_exits_3(tmp_path, capsys):
+    doc = _write(tmp_path, "h.json", UNBOUNDED_DOC)
+    assert main(["overapprox", "--doc", doc, "--template", "box"]) == 3
+    err = capsys.readouterr().err
+    assert "unbounded" in err and "internal error" not in err
+
+
+def test_plot_of_an_unbounded_set_exits_3(tmp_path, capsys):
+    doc = _write(tmp_path, "h.json", UNBOUNDED_DOC)
+    out = tmp_path / "h.svg"
+    assert main(["plot", "--doc", doc, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "unbounded" in err and "internal error" not in err
+    assert not out.exists()
+
+
+def test_a_degenerate_polygon_exits_3(tmp_path, capsys, monkeypatch):
+    # No command meets a degenerate polygon on a valid document today; the
+    # error still maps to the exit code of the other set-shape errors.
+    def degenerate(tree):
+        raise DegeneratePolygonError("polygon with 2 vertices is degenerate; no H-polytope")
+
+    monkeypatch.setattr(lazyops, "concretize", degenerate)
+    doc = _write(tmp_path, "b.json", {"set": "BallInf", "center": [0.0, 0.0], "radius": 1.0})
+    assert main(["concretize", "--doc", doc]) == 3
+    err = capsys.readouterr().err
+    assert "degenerate" in err and "internal error" not in err
 
 
 def test_exit_code_bad_json(tmp_path):

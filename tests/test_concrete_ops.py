@@ -5,7 +5,7 @@ import pytest
 
 import setcalc as sc
 from setcalc import SingleEntryVector
-from setcalc.errors import DimensionMismatchError, UnboundedSetError, UnsupportedOperationError
+from setcalc.errors import DimensionMismatchError, EmptySetError, UnboundedSetError, UnsupportedOperationError
 from conftest import random_box_2d, random_polygon, random_unit_direction, random_zonotope_2d
 from minkowski_reference import reference_polygon_minkowski
 
@@ -202,6 +202,44 @@ def test_intersection_prune():
     assert len(raw.constraints) == 8
     assert len(pruned.constraints) == 4
     assert sc.is_equivalent(raw, pruned)
+
+
+def test_segments_and_points_have_constraint_rows():
+    # A segment and a point as a polygon, a V-polytope and a zonotope: the
+    # same constraint verdicts on points on and off them, and each meets a box.
+    box = sc.BallInf([0.0, 0.0], 2.0)
+    shapes = {
+        "segment": ([[-1.0, 0.0], [1.0, 0.0]], sc.Zonotope([0.0, 0.0], [[1.0], [0.0]]),
+                    [[0.0, 0.0], [1.0, 0.0], [-0.5, 0.0]], [[0.0, 0.1], [1.1, 0.0], [-1.0, -0.01]]),
+        "point": ([[0.5, -0.5]], sc.Zonotope([0.5, -0.5], np.zeros((2, 0))),
+                  [[0.5, -0.5]], [[0.5, -0.4], [0.6, -0.5], [0.0, 0.0]]),
+    }
+    for vertices, zonotope, inside, outside in shapes.values():
+        for X in (sc.VPolygon(vertices), sc.VPolytope(vertices), zonotope):
+            H = sc.HPolyhedron(X.constraints_list())
+            assert all(H.contains(x) for x in inside), X
+            assert not any(H.contains(x) for x in outside), X
+            met = sc.intersection(X, box)
+            assert isinstance(met, sc.HPolytope) and not sc.is_empty(met), X
+            assert all(met.contains(x) for x in inside) and not any(met.contains(x) for x in outside), X
+    with pytest.raises(EmptySetError):
+        sc.VPolygon([]).constraints_list()
+
+
+def test_intersection_with_a_bounded_kind_is_an_hpolytope():
+    for X in (sc.VPolytope([[0, 0], [1, 0], [0, 1]]), sc.VPolygon([[0, 0], [1, 0], [0, 1]]),
+              sc.Zonotope([0, 0], [[1, 0], [0, 1]]), sc.tohrep(sc.VPolygon([[0, 0], [1, 0], [0, 1]]))):
+        out = sc.intersection(X, sc.HalfSpace([1, 1], 0.5))
+        assert type(out) is sc.HPolytope, X
+        assert type(sc.intersection(sc.HalfSpace([1, 1], 0.5), X)) is sc.HPolytope, X
+    assert type(sc.intersection(sc.HalfSpace([1, 1], 0.5), sc.HalfSpace([1, 0], 0.0))) is sc.HPolyhedron
+
+
+def test_intersection_with_the_empty_polygon_is_empty():
+    for X in (sc.BallInf([0, 0], 1), sc.HalfSpace([1, 0], 0), sc.HPolyhedron([sc.HalfSpace([1, 0], 0)]),
+              sc.VPolygon([[0, 0], [1, 0], [0, 1]])):
+        assert sc.intersection(sc.VPolygon([]), X) == sc.VPolygon([])
+        assert sc.intersection(X, sc.VPolygon([])) == sc.VPolygon([])
 
 
 def test_fastpath_clamps_interval():
